@@ -232,11 +232,6 @@ class WallClockRule(Rule):
         "repro.harness.figures",
         "repro.harness.perfbench",
         "repro.harness.report",
-        # the sweep service supervises real processes: heartbeat aging,
-        # poll sleeps, and wall-clock report lines are operational
-        # telemetry, never simulated state (journal records and job
-        # results stay clock-free — see repro.harness.journal)
-        "repro.harness.service",
         # per-rule lint timings are telemetry printed in the report,
         # never simulated state
         "repro.analysis.runner",

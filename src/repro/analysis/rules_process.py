@@ -190,7 +190,7 @@ def _worker_entries(project: ProjectContext) -> List[FunctionInfo]:
             elif _is_process_ctor(callee):
                 # multiprocessing.Process(target=fn, ...): fn's body
                 # runs in a fresh process, same sharing rules as a pool
-                # worker (the sweep service spawns workers this way).
+                # worker.
                 for keyword in node.keywords:
                     if keyword.arg == "target" and \
                             isinstance(keyword.value, ast.Name):

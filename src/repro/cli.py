@@ -15,11 +15,6 @@ Installed as ``repro-sim`` (or ``python -m repro``):
     repro-sim cache stats
     repro-sim sweep --knob memory_speed
     repro-sim sweep --knob mshrs --screen --measure-recall --out screen.json
-    repro-sim submit sweeps astar mcf --modes baseline cdf --repeat-seeds 3
-    repro-sim serve sweeps --once --jobs 4
-    repro-sim serve sweeps --once --jobs 4 --fault-seed 7 --kills 2
-    repro-sim status sweeps
-    repro-sim drain sweeps --jobs 4
     repro-sim perf [--smoke] [--baseline benchmarks/perf_baseline.json]
     repro-sim disasm bzip
     repro-sim lint [paths...] [--format json] [--baseline FILE]
@@ -71,11 +66,6 @@ from .harness import (
     format_fig17,
     load_workload,
     table1_text,
-)
-from .harness.service import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_HEARTBEAT_TIMEOUT,
-    DEFAULT_MAX_ATTEMPTS,
 )
 from .harness.tables import render_table
 from .workloads import DEFAULT_SEED, SUITE, suite_names
@@ -290,87 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the screening report as JSON")
-
-    # Sweep-service options shared by serve and drain.
-    service_opts = argparse.ArgumentParser(add_help=False)
-    service_opts.add_argument(
-        "directory",
-        help="service directory (journal, queue, results, report)")
-    service_opts.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: $REPRO_JOBS or 1)")
-    service_opts.add_argument(
-        "--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-        metavar="N", help="jobs per dispatched batch "
-        f"(default {DEFAULT_BATCH_SIZE})")
-    service_opts.add_argument(
-        "--heartbeat-timeout", type=float,
-        default=DEFAULT_HEARTBEAT_TIMEOUT, metavar="SECONDS",
-        help="stalled-worker detection threshold "
-        f"(default {DEFAULT_HEARTBEAT_TIMEOUT:g}s)")
-    service_opts.add_argument(
-        "--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS,
-        metavar="N", help="per-job retry budget "
-        f"(default {DEFAULT_MAX_ATTEMPTS})")
-    service_opts.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent result cache (disables warm resume)")
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the durable fault-tolerant sweep service on a "
-             "directory (see docs/harness.md)",
-        parents=[service_opts])
-    serve.add_argument(
-        "--once", action="store_true",
-        help="drain the queue and exit instead of watching the inbox")
-    serve.add_argument(
-        "--fault-seed", type=int, default=0, metavar="SEED",
-        help="seed for the deterministic fault-injection schedule")
-    serve.add_argument(
-        "--kills", type=int, default=0, metavar="K",
-        help="inject K worker kills (chaos testing)")
-    serve.add_argument(
-        "--stalls", type=int, default=0, metavar="K",
-        help="inject K worker heartbeat stalls")
-    serve.add_argument(
-        "--drops", type=int, default=0, metavar="K",
-        help="inject K dropped result writes")
-    serve.add_argument(
-        "--corrupt-journal", type=int, default=0, metavar="K",
-        help="corrupt K journal records on disk after their fsync")
-
-    sub.add_parser(
-        "drain",
-        help="drain a service directory's queue to completion and "
-             "print the recovery report",
-        parents=[service_opts])
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit jobs to a sweep service's inbox (the service "
-             "may be started before or after)")
-    submit.add_argument(
-        "directory",
-        help="service directory (journal, queue, results, report)")
-    submit.add_argument("benchmarks", nargs="+", choices=suite_names())
-    submit.add_argument(
-        "--modes", nargs="+", choices=("baseline", "cdf", "pre"),
-        default=["cdf"], metavar="MODE",
-        help="cores to run each benchmark under (default: cdf)")
-    submit.add_argument("--scale", type=float, default=0.5)
-    submit.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="base seed (repeats use SEED, SEED+1, ...)")
-    submit.add_argument(
-        "--repeat-seeds", type=int, default=1, metavar="N",
-        help="submit each point under N consecutive seeds")
-
-    status = sub.add_parser(
-        "status",
-        help="print a read-only snapshot of a sweep service directory")
-    status.add_argument(
-        "directory",
-        help="service directory (journal, queue, results, report)")
 
     perf = sub.add_parser(
         "perf",
@@ -712,97 +621,6 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def _build_service(args, faults=None):
-    from .harness.engine import default_jobs, stderr_progress
-    from .harness.service import SweepService
-
-    workers = default_jobs() if args.jobs is None else args.jobs
-    return SweepService(
-        args.directory, workers=workers, batch_size=args.batch_size,
-        heartbeat_timeout=args.heartbeat_timeout,
-        max_attempts=args.max_attempts, faults=faults,
-        use_cache=not args.no_cache, progress=stderr_progress)
-
-
-def _finish_service(service) -> int:
-    print(service.report.summary(), file=sys.stderr)
-    print(f"recovery report: {service.paths.report}")
-    failed = service.failed_keys()
-    for key in failed:
-        print(f"FAILED {key}: retry budget exhausted", file=sys.stderr)
-    return 1 if failed else 0
-
-
-def cmd_serve(args) -> int:
-    from .harness.engine import default_jobs
-    from .harness.faults import FaultSchedule
-
-    faults = None
-    if args.kills or args.stalls or args.drops or args.corrupt_journal:
-        workers = default_jobs() if args.jobs is None else args.jobs
-        faults = FaultSchedule.seeded(
-            args.fault_seed, workers=workers, kills=args.kills,
-            stalls=args.stalls, drops=args.drops,
-            corrupt_journal=args.corrupt_journal)
-        print(f"... injecting: {faults.describe()}", file=sys.stderr)
-    service = _build_service(args, faults=faults)
-    if args.once:
-        service.drain()
-    else:
-        print(f"... serving {args.directory} "
-              f"(^C to stop)", file=sys.stderr)
-        service.serve_forever()
-    return _finish_service(service)
-
-
-def cmd_drain(args) -> int:
-    service = _build_service(args)
-    service.drain()
-    return _finish_service(service)
-
-
-def cmd_submit(args) -> int:
-    from .harness.service import submit_to_inbox
-
-    jobs = [Job(benchmark, mode, scale=args.scale, seed=args.seed + rep)
-            for benchmark in args.benchmarks
-            for mode in args.modes
-            for rep in range(args.repeat_seeds)]
-    keys = submit_to_inbox(args.directory, jobs)
-    print(f"submitted {len(keys)} job(s) to {args.directory}/inbox")
-    return 0
-
-
-def cmd_status(args) -> int:
-    from .harness.service import service_status
-
-    status = service_status(args.directory)
-    jobs = status["jobs"]
-    print(render_table(
-        f"sweep service: {status['directory']}",
-        ("state", "jobs"),
-        [(state, jobs.get(state, 0))
-         for state in ("pending", "running", "done", "failed")]
-        + [("inbox", status["inbox"])]))
-    if status["workers"]:
-        print(render_table(
-            "workers (last written heartbeat)",
-            ("worker", "beat", "jobs done", "current"),
-            [(worker, hb.get("beat", "?"), hb.get("jobs_done", "?"),
-              (hb.get("current") or "idle")[:16])
-             for worker, hb in sorted(status["workers"].items())]))
-    report = status["report"]
-    if report:
-        recovery = report.get("recovery", {})
-        totals = report.get("jobs", {})
-        print(f"last run: {totals.get('completed', 0)}/"
-              f"{totals.get('submitted', 0)} jobs, "
-              f"{recovery.get('worker_deaths', 0)} worker deaths, "
-              f"{recovery.get('requeues', 0)} requeues, "
-              f"{recovery.get('journal_replays', 0)} journal replays")
-    return 0
-
-
 def sweep_knob_names() -> List[str]:
     from .harness.sweep import KNOBS
     return list(KNOBS)
@@ -1048,10 +866,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": cmd_trace,
         "cache": cmd_cache,
         "sweep": cmd_sweep,
-        "serve": cmd_serve,
-        "drain": cmd_drain,
-        "submit": cmd_submit,
-        "status": cmd_status,
         "perf": cmd_perf,
         "verify": cmd_verify,
     }

@@ -29,6 +29,7 @@ from .engine import (  # noqa: E402
     Engine,
     EngineStats,
     Job,
+    PoisonJobError,
     ResultCache,
     code_salt,
     configure,
@@ -42,6 +43,7 @@ __all__ += [
     "Engine",
     "EngineStats",
     "Job",
+    "PoisonJobError",
     "ResultCache",
     "code_salt",
     "configure",
@@ -49,42 +51,6 @@ __all__ += [
     "default_jobs",
     "get_engine",
     "run_jobs",
-]
-
-from .journal import (  # noqa: E402
-    Journal,
-    JournalReplay,
-    read_checkpoint,
-    replay_journal,
-    write_checkpoint,
-)
-from .faults import (  # noqa: E402
-    FaultSchedule,
-    FaultSpec,
-    WorkerFaultInjector,
-)
-from .service import (  # noqa: E402
-    RecoveryReport,
-    ServiceEngine,
-    SweepService,
-    service_status,
-    submit_to_inbox,
-)
-
-__all__ += [
-    "Journal",
-    "JournalReplay",
-    "read_checkpoint",
-    "replay_journal",
-    "write_checkpoint",
-    "FaultSchedule",
-    "FaultSpec",
-    "WorkerFaultInjector",
-    "RecoveryReport",
-    "ServiceEngine",
-    "SweepService",
-    "service_status",
-    "submit_to_inbox",
 ]
 
 from .tracestore import (  # noqa: E402

@@ -32,7 +32,11 @@ parallel. This module is the single execution layer those drivers share:
 
 * **Resumability** — because every job is keyed independently,
   re-running a partially completed sweep re-executes only the missing
-  points; everything already on disk is a cache hit.
+  points; everything already on disk is a cache hit. Inside one run, a
+  worker death breaks only its pool: finished jobs are already cached,
+  and the unfinished ones are resubmitted to a fresh pool, up to
+  :data:`MAX_BROKEN_POOLS` broken pools in a row (then
+  :class:`PoisonJobError` names them).
 
 * **Observability** — :class:`EngineStats` counts jobs, cache hits,
   executions, and wall/sim time; ``Engine.summary()`` renders the line
@@ -54,7 +58,8 @@ import os
 import pathlib
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -68,14 +73,13 @@ JOBS_ENV = "REPRO_JOBS"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Set to a non-empty value to disable the on-disk cache entirely.
 NO_CACHE_ENV = "REPRO_NO_CACHE"
-#: Point at a service directory to route the default engine through the
-#: durable sweep service (:mod:`repro.harness.service`) instead of a
-#: one-shot process pool. Lives here (not in service.py) so the engine
-#: factory can consult it without importing the service eagerly.
-SERVICE_DIR_ENV = "REPRO_SERVICE_DIR"
 
 #: Bump to invalidate every cache entry regardless of code content.
 ENGINE_CACHE_VERSION = "1"
+
+#: Worker pools that may break in a row, none of them finishing a job,
+#: before :meth:`Engine.run` gives up with :class:`PoisonJobError`.
+MAX_BROKEN_POOLS = 3
 
 _code_salt_cache: Optional[str] = None
 
@@ -154,33 +158,6 @@ class Job:
         if self.config is not None:
             tag += f" cfg:{self.config.fingerprint()[:8]}"
         return tag
-
-
-def job_to_dict(job: Job) -> dict:
-    """Full reconstruction payload for *job* (not just its identity):
-    the sweep-service journal persists this so a restarted service can
-    rebuild and re-dispatch jobs it has never seen in memory."""
-    return {
-        "kind": job.kind,
-        "benchmark": job.benchmark,
-        "mode": job.mode,
-        "scale": float(job.scale),
-        "seed": int(job.seed),
-        "config": (None if job.config is None else job.config.to_dict()),
-    }
-
-
-def job_from_dict(data: dict) -> Job:
-    """Inverse of :func:`job_to_dict`; round-trips the cache key."""
-    config = data.get("config")
-    return Job(
-        benchmark=data["benchmark"],
-        mode=data.get("mode", "baseline"),
-        scale=float(data.get("scale", 1.0)),
-        seed=int(data.get("seed", DEFAULT_SEED)),
-        config=None if config is None else SimConfig.from_dict(config),
-        kind=data.get("kind", "sim"),
-    )
 
 
 def _run_sim_job(job: Job) -> SimResult:
@@ -307,7 +284,8 @@ class ResultCache:
         }
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
+        """Delete every entry, plus the temp files of writers killed
+        before their rename; returns the number of entries removed."""
         removed = 0
         for path in self.entries():
             try:
@@ -315,10 +293,28 @@ class ResultCache:
                 removed += 1
             except OSError:
                 pass
+        for path in self.root.glob("*/*.json.tmp*"):
+            try:
+                path.unlink()
+            except OSError:
+                pass
         return removed
 
 
 # ------------------------------------------------------------------- engine
+class PoisonJobError(RuntimeError):
+    """:data:`MAX_BROKEN_POOLS` worker pools in a row died before any of
+    :attr:`jobs` (the jobs still unfinished, in submission order) could
+    finish. Everything that did finish is already in the result cache."""
+
+    def __init__(self, jobs: Sequence[Job]):
+        self.jobs = list(jobs)
+        super().__init__(
+            f"{MAX_BROKEN_POOLS} worker pools in a row died without "
+            f"finishing a job; {len(self.jobs)} job(s) unfinished: "
+            + ", ".join(job.describe() for job in self.jobs))
+
+
 @dataclass
 class EngineStats:
     """Cumulative accounting across ``Engine.run`` calls."""
@@ -391,9 +387,10 @@ class Engine:
         """Execute *jobs*; returns results in submission order.
 
         Cache hits are filled in first; the remaining misses run either
-        in-process (1 worker) or on a process pool. Every freshly
-        computed result is written to the cache before ``run`` returns,
-        so an interrupted sweep resumes from its last completed job.
+        in-process (1 worker) or on a process pool (see
+        :meth:`_run_pool` for worker deaths and failing jobs). Every
+        freshly computed result is written to the cache as it lands, so
+        an interrupted sweep resumes from its last completed job.
         """
         jobs = list(jobs)
         start = time.perf_counter()
@@ -410,31 +407,71 @@ class Engine:
             else:
                 misses.append(index)
 
+        def finish(index: int, result, seconds: float) -> None:
+            nonlocal done
+            results[index] = result
+            self._finish_miss(jobs[index], result, seconds)
+            done += 1
+            self._report(done, len(jobs), jobs[index], "ran", seconds)
+
         if misses and self.jobs > 1 and len(misses) > 1:
             self._prewarm_workloads([jobs[index] for index in misses])
-            workers = min(self.jobs, len(misses))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(_execute_job, jobs[index]): index
-                           for index in misses}
-                for future in as_completed(futures):
-                    index = futures[future]
-                    result, seconds = future.result()
-                    results[index] = result
-                    self._finish_miss(jobs[index], result, seconds)
-                    done += 1
-                    self._report(done, len(jobs), jobs[index], "ran",
-                                 seconds)
+            self._run_pool(jobs, misses, finish)
         else:
             for index in misses:
-                result, seconds = _execute_job(jobs[index])
-                results[index] = result
-                self._finish_miss(jobs[index], result, seconds)
-                done += 1
-                self._report(done, len(jobs), jobs[index], "ran", seconds)
+                finish(index, *_execute_job(jobs[index]))
 
         self.stats.total += len(jobs)
         self.stats.wall_seconds += time.perf_counter() - start
         return results
+
+    def _run_pool(self, jobs: List[Job], misses: List[int],
+                  finish: Callable[[int, object, float], None]) -> None:
+        """Run ``jobs[i]`` for each *misses* index on worker processes,
+        handing every result to *finish* (which caches it) as it lands.
+
+        A job that raises stops the sweep: jobs not yet started are
+        cancelled, those already running still finish and are cached,
+        then the first error is re-raised. A worker that dies breaks its
+        pool and fails every job still in it; those are resubmitted to a
+        fresh pool, until :data:`MAX_BROKEN_POOLS` pools in a row break
+        without finishing a job, which raises :class:`PoisonJobError`.
+        """
+        error: Optional[Exception] = None
+        broken = 0
+        while misses:
+            lost: List[int] = []
+            progressed = False
+            with ProcessPoolExecutor(
+                    max_workers=min(self.jobs, len(misses))) as pool:
+                waiting = {pool.submit(_execute_job, jobs[index]): index
+                           for index in misses}
+                while waiting:
+                    landed, _ = wait(waiting, return_when=FIRST_COMPLETED)
+                    for future in sorted(landed, key=waiting.__getitem__):
+                        index = waiting.pop(future)
+                        try:
+                            result, seconds = future.result()
+                        except BrokenProcessPool:
+                            lost.append(index)
+                            continue
+                        except Exception as exc:
+                            if error is None:
+                                error = exc
+                                # cancel() fails only on started jobs,
+                                # which stay to be waited for.
+                                waiting = {pending: i for pending, i
+                                           in waiting.items()
+                                           if not pending.cancel()}
+                            continue
+                        finish(index, result, seconds)
+                        progressed = True
+            if error is not None:
+                raise error
+            broken = 0 if progressed else broken + 1
+            misses = sorted(lost)
+            if misses and broken >= MAX_BROKEN_POOLS:
+                raise PoisonJobError([jobs[index] for index in misses])
 
     @staticmethod
     def _prewarm_workloads(jobs: Sequence[Job]) -> None:
@@ -472,9 +509,8 @@ class Engine:
 class ScreeningEngine:
     """Two-tier front end: analytic scores first, full sim on demand.
 
-    Wraps a full engine (pool or service — whatever
-    :func:`_engine_from_environment` yields, so ``$REPRO_SERVICE_DIR``
-    durability composes) and adds the analytical fast tier from
+    Wraps a full :class:`Engine` (a fresh one from the environment by
+    default) and adds the analytical fast tier from
     :mod:`repro.analytic`: :meth:`predict` scores a :class:`Job` in
     microseconds against a memoized per-workload
     :class:`~repro.analytic.profile.TraceProfile`, and :meth:`run`
@@ -488,8 +524,7 @@ class ScreeningEngine:
                  counters: Optional["Counters"] = None):
         from ..analytic import AnalyticModel
         from ..stats import Counters
-        self.full = full_engine if full_engine is not None \
-            else _engine_from_environment()
+        self.full = full_engine if full_engine is not None else Engine()
         self.model = AnalyticModel()
         self.counters = counters if counters is not None else Counters()
         self._profiles: Dict[tuple, object] = {}
@@ -546,27 +581,13 @@ class ScreeningEngine:
 _default_engine: Optional[Engine] = None
 
 
-def _engine_from_environment(jobs=None, use_cache=None, cache=None,
-                             progress=None):
-    """Build the right engine flavor: a durable ``ServiceEngine`` when
-    ``$REPRO_SERVICE_DIR`` is set, the classic pool engine otherwise.
-    The service import is lazy to keep the dependency one-directional
-    (service.py imports this module at top level)."""
-    if os.environ.get(SERVICE_DIR_ENV):
-        from .service import ServiceEngine
-        return ServiceEngine(jobs=jobs, use_cache=use_cache,
-                             cache=cache, progress=progress)
-    return Engine(jobs=jobs, use_cache=use_cache, cache=cache,
-                  progress=progress)
-
-
 def get_engine() -> Engine:
     """The process-wide default engine (created lazily from the
     environment); all harness drivers run through it unless handed an
     explicit engine."""
     global _default_engine
     if _default_engine is None:
-        _default_engine = _engine_from_environment()
+        _default_engine = Engine()
     return _default_engine
 
 
@@ -578,8 +599,8 @@ def configure(jobs: Optional[int] = None,
     unspecified settings fall back to the environment. Returns it."""
     global _default_engine
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    _default_engine = _engine_from_environment(
-        jobs=jobs, use_cache=use_cache, cache=cache, progress=progress)
+    _default_engine = Engine(jobs=jobs, use_cache=use_cache, cache=cache,
+                             progress=progress)
     return _default_engine
 
 

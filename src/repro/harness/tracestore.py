@@ -161,12 +161,18 @@ class TraceStore:
         }
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
+        """Delete every entry, plus the temp files of writers killed
+        before their rename; returns the number of entries removed."""
         removed = 0
         for path in self.entries():
             try:
                 path.unlink()
                 removed += 1
+            except OSError:
+                pass
+        for path in self.root.glob("*/*.trace.tmp*"):
+            try:
+                path.unlink()
             except OSError:
                 pass
         return removed

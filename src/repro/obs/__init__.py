@@ -30,7 +30,6 @@ See docs/observability.md for the guide.
 
 from .chrometrace import (
     export_chrome_trace,
-    export_gauge_trace,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "ObsCollector",
     "UopEvent",
     "export_chrome_trace",
-    "export_gauge_trace",
     "group_uop_events",
     "render_run_report",
     "uop_lifetimes",

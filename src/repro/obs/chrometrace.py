@@ -189,34 +189,3 @@ def write_chrome_trace(obs: dict, path: str, label: str = "repro-sim",
         json.dump(trace, handle, separators=(",", ":"))
     return trace
 
-
-def export_gauge_trace(samples: List[dict], tick_key: str = "tick",
-                       label: str = "repro-sim",
-                       otherData: Optional[dict] = None) -> dict:
-    """Counter-track-only Chrome trace from generic gauge samples.
-
-    ``samples`` is a list of flat dicts each carrying a ``tick_key``
-    timestamp plus numeric gauge values — exactly the shape of the
-    sweep service's queue-depth samples in ``recovery_report.json``
-    (pending/running/done/workers_alive per service tick), but any
-    sampled time-series works. Complements :func:`export_chrome_trace`,
-    which is bound to the richer ``SimResult.obs`` payload schema.
-    """
-    events: List[dict] = [
-        {"ph": "M", "name": "process_name", "pid": _PID, "tid": 0,
-         "args": {"name": label}},
-    ]
-    for sample in samples:
-        ts = sample.get(tick_key, 0)
-        for name in sorted(sample):
-            if name == tick_key:
-                continue
-            value = sample[name]
-            if isinstance(value, (int, float)):
-                events.append({"ph": "C", "name": name, "pid": _PID,
-                               "ts": ts, "args": {name: value}})
-    trace = {"traceEvents": events,
-             "displayTimeUnit": "ms",
-             "otherData": dict(otherData or {})}
-    trace["otherData"].setdefault("clock", f"1 {tick_key} == 1 us")
-    return trace

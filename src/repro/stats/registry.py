@@ -141,21 +141,6 @@ COUNTERS: Dict[str, str] = {
     "obs_samples": "occupancy-gauge samples taken (obs_level >= 1)",
     "obs_mem_events": "memory-request events recorded (obs_level >= 2)",
     "obs_uop_events": "uop lifecycle events recorded (obs_level >= 2)",
-    # ------------------------------------------------ sweep service
-    # (repro.harness.service; surfaced in the recovery report)
-    "service_jobs_submitted": "jobs accepted into the durable queue",
-    "service_jobs_completed": "jobs finished (worker result or cache)",
-    "service_jobs_executed": "jobs freshly simulated by a worker",
-    "service_cache_hits": "jobs served from the result cache",
-    "service_batches_dispatched": "job batches handed to workers",
-    "service_worker_deaths": "worker processes that died mid-sweep",
-    "service_heartbeats_missed": "workers killed for stalled heartbeats",
-    "service_results_dropped": "completed jobs whose result write vanished",
-    "service_requeues": "jobs returned to the queue after a fault",
-    "service_retries": "job dispatches beyond the first attempt",
-    "service_redundant_results": "late results for already-done jobs",
-    "service_journal_replays": "service starts that replayed a journal",
-    "service_checkpoints": "atomic state checkpoints written",
     # ------------------------------------------------ analytic screening
     # (repro.harness.engine.ScreeningEngine / repro.harness.sweep)
     "screen_profiles_built": "trace profiles built for analytic scoring",

@@ -256,24 +256,23 @@ def test_stat001_flags_undeclared_verify_counter():
     assert "verify_bogus_checks" in hits[0].message
 
 
-def test_stat001_allows_registered_service_counters():
+def test_stat001_allows_registered_screen_counters():
     assert not findings("STAT001", """
         def f(self):
-            self.counters.bump("service_requeues")
-            self.counters.bump("service_retries")
-            self.counters.bump("service_heartbeats_missed")
-            self.counters.bump("service_journal_replays")
-            self.counters.bump("service_worker_deaths")
+            self.counters.bump("screen_profiles_built")
+            self.counters.bump("screen_configs_scored")
+            self.counters.bump("screen_configs_promoted")
+            self.counters.bump("screen_configs_pruned")
     """)
 
 
-def test_stat001_flags_undeclared_service_counter():
+def test_stat001_flags_undeclared_screen_counter():
     hits = findings("STAT001", """
         def f(self):
-            self.counters.bump("service_requeuez")
+            self.counters.bump("screen_configs_prunned")
     """)
     assert len(hits) == 1
-    assert "service_requeuez" in hits[0].message
+    assert "screen_configs_prunned" in hits[0].message
 
 
 def test_stat001_allows_registered_sched_counters():

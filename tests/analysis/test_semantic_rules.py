@@ -370,7 +370,7 @@ def test_conc001_follows_the_call_graph():
 
 
 def test_conc001_flags_process_target_mutating_module_state():
-    # The sweep service's worker entry point is discovered through the
+    # A worker entry point is also discovered through the
     # multiprocessing.Process(target=...) keyword, same sharing rules
     # as a pool worker.
     hits = findings("CONC001", """

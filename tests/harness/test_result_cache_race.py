@@ -1,8 +1,8 @@
-"""Result-cache corruption races (ISSUE 8, satellite 3).
+"""Result-cache corruption races.
 
-The content-addressed cache is shared by every worker of every sweep
-service (and by the pool engine), so two writers can race on the same
-key while a third crashes mid-write. The contract under test:
+The content-addressed cache is shared by every worker of every engine
+run, so two writers can race on the same key while a third crashes
+mid-write. The contract under test:
 
 * ``get`` never returns garbage — a torn or corrupt entry is detected,
   deleted, and reported as a miss (recompute, not wrong data);
@@ -17,9 +17,7 @@ import os
 
 import pytest
 
-from repro.harness.engine import Engine, Job, ResultCache, job_from_dict
-from repro.harness.faults import FaultSchedule, FaultSpec, KIND_KILL
-from repro.harness.service import SweepService
+from repro.harness.engine import Engine, Job, ResultCache
 
 PAYLOAD = {"critical_fraction": 0.25}
 
@@ -27,6 +25,15 @@ PAYLOAD = {"critical_fraction": 0.25}
 def profile_job(seed=1):
     return Job("bzip", "baseline", scale=0.05, seed=seed,
                kind="rob_profile")
+
+
+def write_torn(cache, job):
+    """What a non-atomic writer that died mid-write leaves behind: half
+    a document at the entry's final path."""
+    path = cache.path_for(job.key())
+    path.parent.mkdir(parents=True, exist_ok=True)
+    blob = json.dumps({"kind": job.kind, "payload": PAYLOAD})
+    path.write_text(blob[: len(blob) // 2])
 
 
 # ------------------------------------------------------------ torn entries
@@ -77,16 +84,10 @@ def test_crash_before_rename_leaves_previous_entry_intact(tmp_path):
 
 
 # ------------------------------------------------------- process races
-def _racing_writer(cache_dir, job_dict, crash):
+def _racing_writer(cache_dir, job, crash):
     cache = ResultCache(cache_dir)
-    job = job_from_dict(job_dict)
     if crash:
-        # Worst-case writer: no atomic rename, dies mid-write, leaving
-        # a torn entry at the final path (what torn_write injects).
-        path = cache.path_for(job.key())
-        path.parent.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps({"kind": job.kind, "payload": PAYLOAD})
-        path.write_text(blob[: len(blob) // 2])
+        write_torn(cache, job)
         os._exit(137)
     cache.put(job, PAYLOAD)
     os._exit(0)
@@ -97,14 +98,12 @@ def _racing_writer(cache_dir, job_dict, crash):
     reason="racing writers use fork")
 def test_concurrent_same_key_writers_with_crashers(tmp_path):
     job = profile_job()
-    job_dict = {"kind": "rob_profile", "benchmark": "bzip",
-                "mode": "baseline", "scale": 0.05, "seed": 1}
     cache = ResultCache(tmp_path)
     for round_ in range(3):
         writers = [
             multiprocessing.Process(
                 target=_racing_writer,
-                args=(str(tmp_path), job_dict, index % 2 == 1))
+                args=(str(tmp_path), job, index % 2 == 1))
             for index in range(8)]
         for process in writers:
             process.start()
@@ -119,29 +118,21 @@ def test_concurrent_same_key_writers_with_crashers(tmp_path):
         assert cache.get(job) == PAYLOAD
 
 
-# -------------------------------------------------------- service level
-def test_torn_write_fault_converges_to_a_valid_cache(tmp_path,
-                                                     monkeypatch):
-    """After a sweep that injected a torn cache write, every cache
-    entry decodes and matches the sweep's own (serial-identical)
-    results — the torn intermediate state is unobservable afterward."""
-    cache_dir = tmp_path / "cache"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+# ---------------------------------------------------------- engine level
+def test_torn_entries_converge_to_a_valid_cache_under_the_pool(tmp_path):
+    """A sweep over a cache holding torn entries recomputes them, and
+    afterwards every entry decodes to the serial result — the torn
+    state is unobservable."""
     jobs = [Job(name, mode, scale=0.05, seed=seed)
             for name in ("bzip", "milc") for mode in ("baseline", "cdf")
             for seed in (1, 2)]
-    faults = FaultSchedule(specs=[
-        FaultSpec(KIND_KILL, worker=0, at_job=0, phase="torn_write")])
-    service = SweepService(tmp_path / "svc", workers=2, batch_size=2,
-                           poll=0.02, faults=faults)
-    keys = service.submit_jobs(jobs)
-    results = service.drain()
-    assert service.report.worker_deaths == 1
-    reference = {job.key(): result.fingerprint() for job, result in
-                 zip(jobs, Engine(jobs=1, use_cache=False).run(jobs))}
-    cache = ResultCache(cache_dir)
-    for job in jobs:
-        cached = cache.get(job)
-        assert cached is not None, f"missing cache entry for {job}"
-        assert cached.fingerprint() == reference[job.key()]
-        assert results[job.key()].fingerprint() == reference[job.key()]
+    cache = ResultCache(tmp_path)
+    for job in jobs[::3]:
+        write_torn(cache, job)
+    engine = Engine(jobs=2, cache=cache)
+    results = engine.run(jobs)
+    assert engine.stats.executed == len(jobs)
+    reference = [result.fingerprint() for result in
+                 Engine(jobs=1, use_cache=False).run(jobs)]
+    assert [result.fingerprint() for result in results] == reference
+    assert [cache.get(job).fingerprint() for job in jobs] == reference
