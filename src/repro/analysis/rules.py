@@ -527,13 +527,6 @@ class ImportLayeringRule(Rule):
     #: even imported unless a collector is attached, which only the
     #: harness/cli layer does.
     FORBIDDEN: Dict[str, FrozenSet[str]] = {
-        # engine_select is the REPRO_ENGINE variant switch: the absolute
-        # bottom of the DAG (below isa) so every foundation layer may
-        # consult it; it may import nothing from repro at all.
-        "engine_select": frozenset({
-            "config", "isa", "stats", "memory", "frontend", "energy",
-            "workloads", "core", "cdf", "runahead", "verify", "obs",
-            "analytic", "harness", "cli", "analysis"}),
         "config": frozenset({
             "isa", "stats", "memory", "frontend", "energy", "workloads",
             "core", "cdf", "runahead", "verify", "obs", "analytic",

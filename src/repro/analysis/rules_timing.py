@@ -8,12 +8,10 @@ cycle": literal constants, or locals whose reaching definitions never
 touch a cycle-like quantity.
 
 This rule knows the timestamped entry points of the memory hierarchy
-and the scheduler — including the event engine's unified wakeup heap
-(``heappush(self.wakeups, when)`` carries a bare cycle number, and
-``_schedule_wakeup``'s argument is a timestamp) — resolves aliased
-callees through reaching definitions (``ifetch = self.mem.ifetch``),
-expands timestamp arguments through local definitions, and flags any
-argument with no cycle-derived source.
+and the scheduler's completion-event queue, resolves aliased callees
+through reaching definitions (``ifetch = self.mem.ifetch``), expands
+timestamp arguments through local definitions, and flags any argument
+with no cycle-derived source.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ _TIMED_CALLS: Tuple[Tuple[str, Tuple[int, ...], Optional[str]], ...] = (
     ("allocate", (1,), r"mshr"),
     ("on_mem_request", (0, 1), None),
     ("_complete_at", (1, 2), None),
-    ("_schedule_wakeup", (0,), None),
 )
 
 #: telemetry/driver layers that don't feed simulated state
@@ -93,9 +90,7 @@ class CycleMonotonicityRule(Rule):
                         ctx, call.args[position], stmt, analysis,
                         f"argument {position} of `{attr}`")
             return
-        # scheduler: heapq.heappush(self.events, (timestamp, ...)) and
-        # the unified wakeup heap, heapq.heappush(self.wakeups, when),
-        # whose entries are bare cycle numbers rather than tuples.
+        # scheduler: heapq.heappush(self.events, (timestamp, ...))
         callee = call.func
         if isinstance(callee, (ast.Name, ast.Attribute)):
             name = callee.id if isinstance(callee, ast.Name) \
@@ -103,18 +98,12 @@ class CycleMonotonicityRule(Rule):
             if name == "heappush" and len(call.args) >= 2:
                 heap_paths = expanded_dotteds(call.args[0], analysis,
                                               stmt)
-                if any("events" in path or "wakeups" in path
-                       for path in heap_paths):
+                if any("events" in path for path in heap_paths):
                     entry = call.args[1]
-                    if isinstance(entry, ast.Tuple):
-                        if entry.elts:
-                            yield from self._check_timestamp(
-                                ctx, entry.elts[0], stmt, analysis,
-                                "event-queue sort key")
-                    else:
+                    if isinstance(entry, ast.Tuple) and entry.elts:
                         yield from self._check_timestamp(
-                            ctx, entry, stmt, analysis,
-                            "wakeup-heap timestamp")
+                            ctx, entry.elts[0], stmt, analysis,
+                            "event-queue sort key")
 
     def _match_spec(self, call: ast.Call, stmt: ast.stmt,
                     analysis: FunctionAnalysis

@@ -23,7 +23,7 @@ Two-phase design:
   terms.
 
 Layering: ``analytic`` sits beside the harness and may import only
-``config``, ``isa``, ``stats``, and ``engine_select`` — never the
+``config``, ``isa`` and ``stats`` — never the
 cycle-accurate models it predicts (enforced by ARCH001 in
 :mod:`repro.analysis.rules`).
 """

@@ -743,20 +743,17 @@ class CDFPipeline(BaselinePipeline):
             self.rs_used += 1
         super()._complete_at(entry, cycle, completion)
 
-    # -------------------------------------------------------------- wakeups
-    def next_wakeups(self, cycle: int):
-        """CDF's contribution to the unified wakeup candidate set.
+    # -------------------------------------------------------------- ticking
+    def needs_every_cycle(self) -> bool:
+        """Tick every cycle while any CDF structure is live.
 
         Per-cycle bookkeeping (partition stall counters and rebalance
         hysteresis, dual-stream scheduling, crit-fetch-buffer decode
         timers) matters while any CDF structure is live, and those
         steps are *stateful per invocation* (``decay_all`` moves the
         partition boundary one step per call), so the engine must not
-        jump spans: contribute ``cycle + 1`` for exactly those phases.
-        Out of CDF mode with the critical structures drained, the
-        machine is a baseline core and the base candidate set covers
-        every wakeup source.
+        jump spans then.  Out of CDF mode with the critical structures
+        drained, the machine is a baseline core and the base wakeup
+        sources cover every way work can appear.
         """
-        if self.cdf_mode or self.crit_fetch_buffer or self.rob_crit:
-            return (cycle + 1,)
-        return ()
+        return bool(self.cdf_mode or self.crit_fetch_buffer or self.rob_crit)

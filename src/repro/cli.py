@@ -761,8 +761,7 @@ def cmd_perf(args) -> int:
 
     timings = report["timings"]
     derived = report["derived"]
-    rows = [(metric, f"{timings[metric]:.3f} s"
-             if timings[metric] is not None else "n/a")
+    rows = [(metric, f"{timings[metric]:.3f} s")
             for metric in sorted(timings)]
     rows += [(metric, f"{derived[metric]:.3f}x")
              for metric in sorted(derived)]

@@ -26,7 +26,6 @@ from ..isa.ports import UOPS_PER_ICACHE_LINE
 from ..memory import MemoryHierarchy
 from ..stats import Counters, MLPTracker, RobStallProfiler, SimResult
 from .rob import COMPLETE, ISSUED, READY, WAITING, RobEntry
-from .sched import SchedulerStats
 
 __all__ = ["BaselinePipeline", "UOPS_PER_ICACHE_LINE"]
 
@@ -81,18 +80,8 @@ class BaselinePipeline:
         self._use_note_branch = (
             cls._note_branch_outcome
             is not BaselinePipeline._note_branch_outcome)
-        self._use_next_wakeups = (
-            cls.next_wakeups is not BaselinePipeline.next_wakeups)
-        # Stage-skip eligibility, resolved once like the hooks above: the
-        # event-driven run loop may skip a stage invocation only when the
-        # *base* implementation's no-work precondition holds, so a
-        # subclass that overrides a stage opts that stage out of
-        # skipping (its override may have work the base predicate cannot
-        # see — e.g. the CDF fetch stage's mode-entry probe).
-        self._can_skip_retire = cls._retire is BaselinePipeline._retire
-        self._can_skip_dispatch = (
-            cls._dispatch is BaselinePipeline._dispatch)
-        self._can_skip_fetch = cls._fetch is BaselinePipeline._fetch
+        self._use_needs_every_cycle = (
+            cls.needs_every_cycle is not BaselinePipeline.needs_every_cycle)
 
         self.mlp_tracker = MLPTracker()
         self.mem = MemoryHierarchy(config, mlp_tracker=self.mlp_tracker)
@@ -130,13 +119,6 @@ class BaselinePipeline:
         self.ready_q: List = []          # heap of (seq, tiebreak, entry)
         self.retry_loads: List[RobEntry] = []
         self.events: List = []           # heap of (cycle, tiebreak, entry)
-        #: Unified wakeup heap: bare cycle numbers pushed through
-        #: :meth:`_schedule_wakeup` for timers that stay valid
-        #: unconditionally (see repro.core.sched for the source
-        #: taxonomy and why validity-gated timers are consulted as
-        #: gated scalars in :meth:`_next_cycle` instead).
-        self.wakeups: List[int] = []
-        self.sched_stats = SchedulerStats()
         self._tiebreak = 0
         self.rs_used = 0
         self.lq_used = 0
@@ -173,34 +155,17 @@ class BaselinePipeline:
     def _note_branch_outcome(self, uop: DynUop, outcome) -> None:
         """Subclass hook: a branch was predicted at fetch time."""
 
-    def next_wakeups(self, cycle: int):
-        """Subclass hook: extra wakeup-cycle candidates for the engine.
+    def needs_every_cycle(self) -> bool:
+        """Subclass hook: must the engine tick every cycle right now?
 
         Called from :meth:`_next_cycle` whenever the engine considers
-        jumping an idle span.  Return an iterable of candidate cycles
-        (each ``> cycle``); the engine folds them into the unified
-        candidate set alongside completions, MSHR expiries, frontend
-        readiness, fetch resume, and the wakeup heap.  A subclass whose
-        bookkeeping must run every cycle while some structure is live
-        (the CDF dual-stream machinery) contributes ``cycle + 1`` for
-        exactly those phases, which pins per-cycle ticking without
-        overriding the scheduler itself.  The base pipeline has no
-        extra sources.
+        jumping an idle span.  A subclass whose bookkeeping must run
+        every cycle while some structure is live (the CDF dual-stream
+        machinery) returns True for exactly those phases, which pins
+        per-cycle ticking without overriding the scheduler itself.
+        The base pipeline never needs it.
         """
-        return ()
-
-    def _schedule_wakeup(self, when: int) -> None:
-        """Push an unconditional timer into the unified wakeup heap.
-
-        For wakeups that stay meaningful no matter how the machine
-        state evolves (subclass timers that are not gated on a
-        condition the engine already tracks).  ``when`` must derive
-        from the current cycle — simlint's TIME001 checks every
-        timestamp entering this heap, exactly as for the completion
-        event queue.
-        """
-        heapq.heappush(self.wakeups, when)
-        self.sched_stats.wakeups_scheduled += 1
+        return False
 
     def attach_verifier(self, verifier):
         """Bind *verifier* (a :class:`repro.verify.PipelineVerifier`) to
@@ -239,18 +204,11 @@ class BaselinePipeline:
 
     # ------------------------------------------------------------------ run
     def run(self) -> SimResult:
-        """Event-driven run loop.
+        """The cycle loop.
 
-        Each iteration is one *ticked* cycle.  A stage is invoked only
-        when its no-work precondition fails (the precondition mirrors
-        the stage's own early-return test, so skipping is provably
-        behaviour-neutral; overridden stages opt out — see ``__init__``),
-        and between ticks :meth:`_next_cycle` jumps idle spans in O(1)
-        over the unified wakeup candidate set.  The set of ticked
-        cycles, every counter, and the idle/stall attribution are
-        bit-identical to the naive reference loop
-        (:meth:`run_reference`); the equivalence property test and the
-        pinned suite fingerprints enforce that.
+        Each iteration is one *ticked* cycle and calls every stage; a
+        stage with no work returns after its own cheap tests.  Between
+        ticks :meth:`_next_cycle` jumps idle spans in O(1).
         """
         total = len(self.trace)
         warmup = self.config.stats_warmup_uops
@@ -262,113 +220,6 @@ class BaselinePipeline:
         # in the repository and the per-cycle attribute lookups add up.
         # Subclass overrides are resolved here (no stage is ever rebound
         # mid-run), so the binding is behaviour-neutral.
-        writeback = self._writeback
-        retire = self._retire
-        issue = self._issue
-        dispatch = self._dispatch
-        fetch = self._fetch
-        next_cycle = self._next_cycle
-        can_skip_retire = self._can_skip_retire
-        can_skip_dispatch = self._can_skip_dispatch
-        can_skip_fetch = self._can_skip_fetch
-        # These containers are mutated in place but never rebound (only
-        # ``retry_loads`` is reassigned, so it is re-read each cycle).
-        events = self.events
-        frontend_q = self.frontend_q
-        rob = self.rob
-        ready_q = self.ready_q
-        frontend_cap = self.frontend_cap
-        trace_len = total
-        # Scheduler telemetry accumulates in a local and is flushed once
-        # after the loop: the engine's own bookkeeping must not tax the
-        # engine.
-        stage_skips = 0
-        cycle = 0
-        while self.retired < total:
-            if cycle >= max_cycles:
-                raise RuntimeError(
-                    f"simulation exceeded max_cycles={self.config.max_cycles}")
-            self._retired_this_cycle = 0
-            # Writeback: only when a completion event is due.
-            if events and events[0][0] <= cycle:
-                writeback(cycle)
-            else:
-                stage_skips += 1
-            # Retire: only when the ROB head has completed and is due.
-            if can_skip_retire:
-                if rob:
-                    head = rob[0]
-                    if head.state == COMPLETE \
-                            and head.complete_cycle <= cycle:
-                        retire(cycle)
-                    else:
-                        stage_skips += 1
-                else:
-                    stage_skips += 1
-            else:
-                retire(cycle)
-            # Issue: only when something is ready or retrying.
-            if ready_q or self.retry_loads:
-                issue(cycle)
-            else:
-                stage_skips += 1
-            # Dispatch: only when the frontend head is decode-ready; the
-            # skipped call would have cleared the blocked marker first.
-            if can_skip_dispatch:
-                if frontend_q and frontend_q[0][0] <= cycle:
-                    dispatch(cycle)
-                else:
-                    self._dispatch_blocked = None
-                    stage_skips += 1
-            else:
-                dispatch(cycle)
-            # Fetch: only when unblocked, resumed, with trace left and
-            # frontend-queue room.
-            if can_skip_fetch:
-                if (self.fetch_blocked_on is None
-                        and cycle >= self.fetch_resume_cycle
-                        and self.fetch_seq < trace_len
-                        and len(frontend_q) < frontend_cap):
-                    fetch(cycle)
-                else:
-                    stage_skips += 1
-            else:
-                fetch(cycle)
-            if verifier is not None:
-                verifier.on_cycle_end(cycle)
-            if observer is not None:
-                observer.on_cycle_end(cycle)
-            if warm_snap is None and warmup and self.retired >= warmup:
-                warm_snap = self._snapshot(cycle)
-            cycle = next_cycle(cycle)
-        self.cycle = cycle
-        self.sched_stats.stage_skips += stage_skips
-        if verifier is not None:
-            verifier.on_run_end()
-        if observer is not None:
-            observer.on_run_end(cycle)
-        return self._build_result(cycle, warm_snap)
-
-    def run_reference(self) -> SimResult:
-        """Naive tick-every-cycle reference loop (the equivalence oracle).
-
-        Invokes every stage on every active cycle — no skip predicates,
-        no wakeup targeting — and steps through idle spans one cycle at
-        a time instead of jumping.  Span accounting (the batched
-        ``idle_skipped_cycles`` / dispatch-stall weights that feed the
-        fingerprint, and the weight-batched ``_on_stall_cycles`` hook
-        semantics) is the simulator's committed behaviour, shared with
-        the event engine via :meth:`_next_cycle`, so the results are
-        bit-identical; the equivalence property test compares the two
-        loops fingerprint-for-fingerprint.  Retained for that test and
-        for the perfbench ``sweep_naive_s`` column.
-        """
-        total = len(self.trace)
-        warmup = self.config.stats_warmup_uops
-        warm_snap = None
-        verifier = self.verifier
-        observer = self.observer
-        max_cycles = self.config.max_cycles
         writeback = self._writeback
         retire = self._retire
         issue = self._issue
@@ -392,13 +243,7 @@ class BaselinePipeline:
                 observer.on_cycle_end(cycle)
             if warm_snap is None and warmup and self.retired >= warmup:
                 warm_snap = self._snapshot(cycle)
-            target = next_cycle(cycle)
-            cycle += 1
-            while cycle < target:
-                # Provably-idle cycle inside the accounted span: tick
-                # the clock without stage work (the stages' own
-                # early-return tests all hold until *target*).
-                cycle += 1
+            cycle = next_cycle(cycle)
         self.cycle = cycle
         if verifier is not None:
             verifier.on_run_end()
@@ -459,10 +304,6 @@ class BaselinePipeline:
         if completed:
             counters = self.counters
             counters["wakeup_broadcasts"] += completed
-            if completed > 1:
-                # N completions due the same cycle drain in this single
-                # invocation: one coalesced broadcast instead of N.
-                self.sched_stats.wakeups_coalesced += completed - 1
 
     def _on_complete(self, entry: RobEntry, cycle: int) -> None:
         """Subclass hook at writeback (CDF unblocks critical fetch here)."""
@@ -513,6 +354,8 @@ class BaselinePipeline:
             counters["rob_reads"] += retired_here
 
     def _issue(self, cycle: int) -> None:
+        if not self.ready_q and not self.retry_loads:
+            return
         budget = self.issue_width
         loads_left = self.load_ports
         stores_left = self.store_ports
@@ -648,7 +491,6 @@ class BaselinePipeline:
         self._tiebreak += 1
         if self.event_log is not None:
             self.event_log.append((cycle, "I", entry.seq))
-        self.sched_stats.events_scheduled += 1
         heapq.heappush(self.events,
                        (entry.complete_cycle, self._tiebreak, entry))
 
@@ -817,40 +659,39 @@ class BaselinePipeline:
 
     # ------------------------------------------------------------------ advance
     def _next_cycle(self, cycle: int) -> int:
-        """The event scheduler: earliest cycle at which work can appear.
+        """The scheduler: earliest cycle at which work can appear.
 
-        Folds the unified wakeup candidate set (see repro.core.sched)
-        into a running min and jumps idle spans in O(1).  The jump
-        *coverage* (which cycles are skipped, and by how much) is part
-        of the simulator's observable behaviour — skipped spans are
-        counted in ``idle_skipped_cycles`` and weighted into the
+        Jumps idle spans in O(1), regardless of span length, by folding
+        these wakeup sources into a running min:
+
+        * **completion events** — the top of the completion-event heap
+          (``self.events``), where every issued uop's writeback is
+          scheduled;
+        * **MSHR expiries** — the earliest in-flight miss fill at either
+          MSHR level, consulted while rejected loads wait to retry;
+        * **frontend-queue head readiness** — the decode-latency
+          timestamp of the oldest fetched uop, consulted while dispatch
+          is unblocked;
+        * **fetch resume** — redirect penalties and BTB bubbles park
+          fetch until ``fetch_resume_cycle``, consulted while fetch has
+          trace left and frontend-queue room;
+        * **the subclass hook** — while :meth:`needs_every_cycle` says
+          so, every cycle is ticked.
+
+        The jump *coverage* (which cycles are skipped, and by how much)
+        is part of the simulator's observable behaviour — skipped spans
+        are counted in ``idle_skipped_cycles`` and weighted into the
         dispatch-stall breakdown, both of which feed
-        ``SimResult.fingerprint()`` — so every candidate keeps its
-        validity gate: a timer whose gating state died (fetch blocked
-        after a resume timer was set) must not wake the machine on a
-        cycle the gated form provably skips.  Subclasses extend the
-        candidate set through :meth:`next_wakeups` or the wakeup heap
-        instead of overriding this method.
+        ``SimResult.fingerprint()``; obs gauges sample per ticked cycle
+        — so every source keeps its validity gate: a timer whose gating
+        state died (fetch blocked after a resume timer was set) must not
+        wake the machine on a cycle the gated form provably skips.
         """
         next_cycle = cycle + 1
         if self.ready_q or self._retired_this_cycle:
             return next_cycle
-        # Subclass candidates first: a hook that pins per-cycle ticking
-        # (CDF while its structures are live) yields ``cycle + 1``, and
-        # no other candidate can be earlier — short-circuit before the
-        # scalar sources are even computed.  Folding the hook first is
-        # order-neutral: the result is the min over the whole set.
-        hook_target = -1
-        if self._use_next_wakeups:
-            subclass_wakeups = 0
-            for wake in self.next_wakeups(cycle):
-                subclass_wakeups += 1
-                if wake > cycle and (hook_target < 0 or wake < hook_target):
-                    hook_target = wake
-            if subclass_wakeups:
-                self.sched_stats.subclass_wakeups += subclass_wakeups
-            if 0 <= hook_target <= next_cycle:
-                return next_cycle
+        if self._use_needs_every_cycle and self.needs_every_cycle():
+            return next_cycle
         # Can anything dispatch next cycle?
         frontend_q = self.frontend_q
         dispatch_blocked = self._dispatch_blocked
@@ -866,12 +707,10 @@ class BaselinePipeline:
         if fetch_possible and fetch_resume <= next_cycle:
             return next_cycle
         # Idle until the next wakeup (running min; no candidate list).
-        target = hook_target
+        target = -1
         events = self.events
         if events:
-            due = events[0][0]
-            if target < 0 or due < target:
-                target = due
+            target = events[0][0]
         if self.retry_loads:
             # Rejected loads can only succeed once an MSHR frees (or a
             # same-line fill completes, which is an event above).
@@ -884,22 +723,12 @@ class BaselinePipeline:
             target = head_ready
         if fetch_possible and (target < 0 or fetch_resume < target):
             target = fetch_resume
-        wakeups = self.wakeups
-        if wakeups:
-            # Unconditional timers: drop entries that already fired
-            # (lazy deletion), then the heap top joins the candidates.
-            heappop = heapq.heappop
-            while wakeups and wakeups[0] <= cycle:
-                heappop(wakeups)
-            if wakeups and (target < 0 or wakeups[0] < target):
-                target = wakeups[0]
         if target <= next_cycle:        # includes 'no candidates' (-1)
             return next_cycle
         skipped = target - next_cycle
         if dispatch_blocked is not None:
             self._account_stall(cycle, dispatch_blocked, skipped)
         self.counters["idle_skipped_cycles"] += skipped
-        self.sched_stats.idle_jumps += 1
         return target
 
     # ------------------------------------------------------------------ results

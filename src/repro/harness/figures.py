@@ -54,6 +54,7 @@ the clock.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -521,13 +522,29 @@ class ClaimResult:
 
 
 # ------------------------------------------------------------- execution
+class ClaimValueError(ValueError):
+    """An implemented claim's extractor returned no finite value.
+
+    Such a value has no honest verdict: ``None`` would count as planned
+    and NaN as diverged, so the run fails instead.
+    """
+
+
 def run_claim(spec: FigureSpec, mode: str,
               seed: int = DEFAULT_SEED) -> ClaimResult:
-    """Run one claim's metric under its *mode* profile."""
+    """Run one claim's metric under its *mode* profile.
+
+    Raises :class:`ClaimValueError` when an implemented claim's value
+    is ``None`` or not finite.
+    """
     if spec.status != "implemented":
         return ClaimResult(spec.fig_id, mode, None, PLANNED, 0.0, ())
     profile = spec.profile(mode)
     value = RUNNERS[spec.runner](profile, seed)
+    if value is None or not math.isfinite(value):
+        raise ClaimValueError(
+            f"claim {spec.fig_id} [{mode}]: extractor returned {value!r}, "
+            f"not a finite number")
     return ClaimResult(spec.fig_id, mode, value, verdict(spec, value),
                        profile.scale, profile.names)
 

@@ -33,19 +33,10 @@ real ``$REPRO_CACHE_DIR``:
     "low-overhead" contract (docs/observability.md): the hooks are a
     single ``is not None`` test per site at level 0, and even level 1
     must stay cheap.
-``sweep_event_s`` / ``sweep_naive_s``
-    Simulation-only *CPU* time (traces pre-loaded, pipeline
-    construction excluded) for the suite under the event-driven
-    ``run()`` loop and the retained tick-every-cycle
-    ``run_reference()`` loop.  The two are measured *interleaved*
-    (event, naive, event, naive, ...) and in CPU rather than wall time
-    so machine drift and background load cancel out of the ratio.
-``trace_load_python_s`` / ``trace_load_numpy_s``
-    Best-of-reps suite decode CPU time under each ``REPRO_ENGINE``
-    variant, each measured in a fresh subprocess (the variant is
-    resolved once per process; see :mod:`repro.engine_select`) after
-    one untimed warm-up pass.  The numpy column is ``None`` when numpy
-    is not installed.
+``sweep_sim_s``
+    Best-of-reps simulation-only *CPU* time (traces pre-loaded,
+    pipeline construction excluded) for the suite; CPU rather than
+    wall time keeps background load out of ``screen_speedup``.
 ``analytic_profile_s`` / ``analytic_per_config_s``
     The analytic screening tier (docs/analytic.md): best-of-reps CPU
     time to build every suite :class:`~repro.analytic.TraceProfile`,
@@ -55,12 +46,9 @@ Absolute seconds are machine-dependent, so cross-machine comparisons
 (CI) use the *derived ratios* — ``trace_compile_speedup``
 (functional/trace-load), ``cold_over_warm``, ``warm_over_obs``
 (warm/obs-instrumented; ~1.0, drops when telemetry gets expensive),
-``event_engine_speedup`` (naive/event simulation time; drops
-toward or below 1.0 if the event engine's scheduling bookkeeping ever
-costs more than the cycles it skips), and ``screen_speedup``
-(event-loop simulation time over the analytic tier's profile+score
-time for the same suite; the screening tier's reason to exist — its
-committed floor is 50x) — which track the architecture of
+and ``screen_speedup`` (simulation time over the analytic tier's
+profile+score time for the same suite; the screening tier's reason to
+exist — its committed floor is 50x) — which track the architecture of
 the code rather than the speed of the host.  Same-machine comparisons
 (a developer re-running ``repro-sim perf``) use the raw timings with a
 noise tolerance band.
@@ -71,12 +59,10 @@ is its purpose; simulation results never depend on it.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import platform
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
@@ -86,11 +72,13 @@ from .engine import Engine, Job
 
 #: Stable report schema version (bump on any shape change).
 #: v2: added the obs-overhead column (``sweep_obs_s`` / ``warm_over_obs``).
-#: v3: event-engine columns (``sweep_event_s`` / ``sweep_naive_s`` /
-#: ``event_engine_speedup``) and per-``REPRO_ENGINE`` decode timings.
+#: v3: event-vs-reference loop columns and per-variant decode timings.
 #: v4: analytic fast-tier columns (``analytic_profile_s`` /
 #: ``analytic_per_config_s`` / ``screen_speedup``); see docs/analytic.md.
-SCHEMA_VERSION = 4
+#: v5: one cycle loop and one decoder: ``sweep_event_s`` became
+#: ``sweep_sim_s``; the reference-loop, per-variant decode and
+#: ``env.engine`` fields are gone.
+SCHEMA_VERSION = 5
 
 #: Default report filename, written to the current directory (the repo
 #: root in CI and in the documented workflow).
@@ -133,11 +121,6 @@ def _clear_workload_cache() -> None:
     runner._workload_cache.clear()
 
 
-def _active_engine_variant() -> str:
-    from ..engine_select import engine_variant
-    return engine_variant()
-
-
 def _load_suite_traces(scale: float) -> float:
     """Wall time to materialise every suite workload's trace once."""
     from .runner import load_workload
@@ -157,15 +140,13 @@ def _sweep_once(jobs: List[Job]) -> float:
     return time.perf_counter() - start
 
 
-def _sweep_direct(scale: float, method: str) -> float:
-    """Simulation-only suite time: sum of one ``method`` call per job.
+def _sweep_direct(scale: float) -> float:
+    """Simulation-only suite CPU time: one ``run()`` per job.
 
     Traces are materialised and the pipeline constructed *outside* the
-    timed region, so ``run`` vs ``run_reference`` is an apples-to-apples
-    comparison of the cycle loops alone.  Uses CPU time
-    (``time.process_time``) rather than wall time: this column exists
-    to compare two loops against *each other*, and CPU time keeps
-    unrelated machine load out of the ratio.
+    timed region, so only the cycle loop is timed.  Uses CPU time
+    (``time.process_time``) rather than wall time to keep unrelated
+    machine load out of the ratios built on it.
     """
     from .runner import config_for_mode, load_workload, make_pipeline
     total = 0.0
@@ -176,38 +157,9 @@ def _sweep_direct(scale: float, method: str) -> float:
         config.stats_warmup_uops = workload.warmup_uops()
         pipeline = make_pipeline(mode, trace, config, workload)
         start = time.process_time()
-        getattr(pipeline, method)()
+        pipeline.run()
         total += time.process_time() - start
     return total
-
-
-def _event_vs_reference(scale: float,
-                        reps: int) -> Tuple[float, float]:
-    """``(sweep_event_s, sweep_naive_s)``: per-benchmark best-of-reps.
-
-    The two loops run back-to-back per benchmark and the minimum is
-    taken per ``(benchmark, loop)`` before summing — a much tighter
-    estimator than best-of-suite-totals, since each benchmark's noise
-    floor is found independently.
-    """
-    from .runner import config_for_mode, load_workload, make_pipeline
-    best: Dict[Tuple[str, str], float] = {}
-    for _ in range(reps):
-        for name, mode in PERF_SUITE:
-            workload = load_workload(name, scale)
-            trace = workload.trace()
-            for method in ("run", "run_reference"):
-                config = config_for_mode(mode)
-                config.stats_warmup_uops = workload.warmup_uops()
-                pipeline = make_pipeline(mode, trace, config, workload)
-                start = time.process_time()
-                getattr(pipeline, method)()
-                elapsed = time.process_time() - start
-                key = (method, name)
-                best[key] = min(best.get(key, elapsed), elapsed)
-    event_s = sum(v for (m, _), v in best.items() if m == "run")
-    naive_s = sum(v for (m, _), v in best.items() if m == "run_reference")
-    return event_s, naive_s
 
 
 def _analytic_timing(scale: float,
@@ -215,12 +167,12 @@ def _analytic_timing(scale: float,
     """``(analytic_profile_s, analytic_suite_s, analytic_per_config_s)``.
 
     Times the analytic fast tier over the same suite the
-    ``sweep_event_s`` column simulates: best-of-reps CPU time to build
+    ``sweep_sim_s`` column simulates: best-of-reps CPU time to build
     every :class:`~repro.analytic.TraceProfile` (traces pre-loaded, as
     in a warm screening sweep) and to score every ``(kernel, mode)``
     point.  ``analytic_suite_s`` — grid-amortized profile build plus
     one evaluation per point — is the screening tier's per-grid-point
-    cost for the whole suite, and ``sweep_event_s / analytic_suite_s``
+    cost for the whole suite, and ``sweep_sim_s / analytic_suite_s``
     is the committed ``screen_speedup`` ratio.  Model evaluations are microseconds, so
     the per-config column is measured over many repeated evaluations.
     """
@@ -259,49 +211,6 @@ def _analytic_timing(scale: float,
 
     per_config_s = suite_eval_s / len(PERF_SUITE)
     return profile_s, profile_s / grid + suite_eval_s, per_config_s
-
-
-def _decode_variant_timing(variant: str, scale: float,
-                           reps: int) -> Optional[float]:
-    """Best-of-reps suite decode time under ``REPRO_ENGINE=variant``.
-
-    Runs in a fresh subprocess because the engine variant is resolved
-    once per process (:mod:`repro.engine_select`); the subprocess
-    inherits the private trace store through the environment.  Returns
-    ``None`` when the variant is unavailable (numpy not installed).
-    """
-    if variant == "numpy" and importlib.util.find_spec("numpy") is None:
-        return None
-    # CPU time, with one untimed warm-up pass: the first decode pays
-    # one-time costs (numpy import, OS file cache) that would otherwise
-    # pollute the python-vs-numpy comparison.
-    script = (
-        "import sys, time\n"
-        "from repro.harness.perfbench import (PERF_SUITE,\n"
-        "                                     _clear_workload_cache)\n"
-        "from repro.harness.runner import load_workload\n"
-        "reps, scale = int(sys.argv[1]), float(sys.argv[2])\n"
-        "def once():\n"
-        "    _clear_workload_cache()\n"
-        "    start = time.process_time()\n"
-        "    for name, _mode in PERF_SUITE:\n"
-        "        load_workload(name, scale).trace()\n"
-        "    return time.process_time() - start\n"
-        "once()\n"
-        "print(repr(min(once() for _ in range(reps))))\n")
-    env = dict(os.environ)
-    env["REPRO_ENGINE"] = variant
-    # The child must find `repro` however the parent did (installed,
-    # PYTHONPATH=src, or pytest's pyproject `pythonpath`, which does
-    # not propagate to subprocesses) — pin our own package root.
-    pkg_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", script, str(reps), str(scale)],
-        env=env, capture_output=True, text=True, check=True)
-    return float(out.stdout.strip().splitlines()[-1])
 
 
 def run_perfbench(smoke: bool = False, reps: Optional[int] = None,
@@ -350,20 +259,13 @@ def run_perfbench(smoke: bool = False, reps: Optional[int] = None,
         note(f"warm sweep x{reps} (obs_level=1 telemetry)")
         sweep_obs_s = min(_sweep_once(obs_jobs) for _ in range(reps))
 
-        # Event engine vs the retained naive reference loop, interleaved
-        # so machine drift cancels out of the ratio (simulation only).
-        note(f"event vs reference loop x{reps} (interleaved, sim only)")
-        sweep_event_s, sweep_naive_s = _event_vs_reference(scale, reps)
+        note(f"cycle loop x{reps} (sim only)")
+        sweep_sim_s = min(_sweep_direct(scale) for _ in range(reps))
 
         # Analytic fast tier over the same suite (docs/analytic.md).
         note(f"analytic fast tier x{reps} (profiles + model evals)")
         analytic_profile_s, analytic_suite_s, analytic_per_config_s = \
             _analytic_timing(scale, reps)
-
-        # Per-REPRO_ENGINE decode timing (fresh subprocess per variant).
-        note("trace decode per engine variant (subprocesses)")
-        trace_load_python_s = _decode_variant_timing("python", scale, reps)
-        trace_load_numpy_s = _decode_variant_timing("numpy", scale, reps)
     finally:
         if saved_cache_dir is None:
             os.environ.pop("REPRO_CACHE_DIR", None)
@@ -388,16 +290,9 @@ def run_perfbench(smoke: bool = False, reps: Optional[int] = None,
             "sweep_cold_s": round(sweep_cold_s, 4),
             "sweep_warm_s": round(sweep_warm_s, 4),
             "sweep_obs_s": round(sweep_obs_s, 4),
-            "sweep_event_s": round(sweep_event_s, 4),
-            "sweep_naive_s": round(sweep_naive_s, 4),
+            "sweep_sim_s": round(sweep_sim_s, 4),
             "analytic_profile_s": round(analytic_profile_s, 4),
             "analytic_per_config_s": round(analytic_per_config_s, 6),
-            "trace_load_python_s": (
-                round(trace_load_python_s, 4)
-                if trace_load_python_s is not None else None),
-            "trace_load_numpy_s": (
-                round(trace_load_numpy_s, 4)
-                if trace_load_numpy_s is not None else None),
         },
         "derived": {
             "trace_compile_speedup": round(
@@ -406,16 +301,13 @@ def run_perfbench(smoke: bool = False, reps: Optional[int] = None,
                 sweep_cold_s / sweep_warm_s, 3) if sweep_warm_s else 0.0,
             "warm_over_obs": round(
                 sweep_warm_s / sweep_obs_s, 3) if sweep_obs_s else 0.0,
-            "event_engine_speedup": round(
-                sweep_naive_s / sweep_event_s, 3) if sweep_event_s else 0.0,
             "screen_speedup": round(
-                sweep_event_s / analytic_suite_s,
+                sweep_sim_s / analytic_suite_s,
                 3) if analytic_suite_s else 0.0,
         },
         "env": {
             "python": platform.python_version(),
             "platform": sys.platform,
-            "engine": _active_engine_variant(),
         },
     }
 
@@ -454,7 +346,7 @@ def run_profile(smoke: bool = False, top: int = 15,
         note("profiled warm sweep (simulation only)")
         profiler = cProfile.Profile()
         profiler.enable()
-        sim_s = _sweep_direct(scale, "run")
+        sim_s = _sweep_direct(scale)
         profiler.disable()
     finally:
         if saved_cache_dir is None:
@@ -503,7 +395,6 @@ def run_profile(smoke: bool = False, top: int = 15,
         "env": {
             "python": platform.python_version(),
             "platform": sys.platform,
-            "engine": _active_engine_variant(),
         },
     }
 
@@ -524,8 +415,6 @@ def compare_timings(current: dict, previous: dict,
     prev_t: Dict[str, float] = previous.get("timings", {})
     for metric, now in current.get("timings", {}).items():
         then = prev_t.get(metric)
-        if now is None:     # variant unavailable on this machine
-            continue
         if then and now > then * (1.0 + tolerance):
             regressions.append(
                 f"{metric}: {now:.3f}s vs {then:.3f}s "

@@ -6,11 +6,10 @@ tools) reuse one functional run, the way trace-driven simulators ship
 trace files.
 
 Version 2 is *columnar*: fixed-width per-uop fields are stored as whole
-arrays rather than interleaved records, so a decoder can lift each
-column in one bulk operation (``struct.unpack`` of the whole array, or
-``numpy.frombuffer`` when the numpy engine variant is active — see
-:mod:`repro.engine_select`) instead of walking a byte offset through
-millions of heterogeneous records.  Layout, little-endian throughout::
+arrays rather than interleaved records, so the decoder lifts each
+column with one bulk ``struct.unpack_from`` instead of walking a byte
+offset through millions of heterogeneous records.  Layout,
+little-endian throughout::
 
     header:   magic 'CDFT', version u16, uop count u64,
               srcs total u64, mem count u64, deps total u64,
@@ -22,8 +21,8 @@ millions of heterogeneous records.  Layout, little-endian throughout::
               deps u64[deps_total]       (concatenated, row order)
               store_dep i64[load_count]  (rows with LOAD flag, row order)
 
-Version 1 (interleaved records) is still decoded for old trace files;
-new traces are always written as version 2.  ``exec_lat`` and
+Version 1 (interleaved records) is no longer read: a v1 file is
+rejected like any other version mismatch.  ``exec_lat`` and
 ``exec_class`` are recomputed from the opcode on load, so traces stay
 valid if latency tables are retuned.
 """
@@ -33,7 +32,6 @@ from __future__ import annotations
 import struct
 from typing import List
 
-from ..engine_select import get_numpy, use_numpy
 from .dynuop import DynUop
 from .opcodes import EXEC_CLASS, EXEC_LATENCY, Opcode
 
@@ -54,14 +52,8 @@ _FLAG_MEM = 32
 _EXEC_LAT_BY_OP = {int(op): EXEC_LATENCY[op] for op in Opcode}
 _EXEC_CLASS_BY_OP = {int(op): EXEC_CLASS[op] for op in Opcode}
 
-#: Precompiled struct readers for the v1 per-uop records.
-_S_HEAD = struct.Struct("<IBBBB")
-_S_U64 = struct.Struct("<Q")
-_S_NEXT = struct.Struct("<IB")
-_S_I64 = struct.Struct("<q")
-_S_DEPS = tuple(struct.Struct(f"<{n}Q") for n in range(1, 9))
-
 _V2_HEADER = struct.Struct("<HQQQQQ")  # version + the five counts
+_COLUMNS_OFFSET = 4 + _V2_HEADER.size  # past the magic and the header
 
 #: flags byte -> (is_load, is_store, is_branch, is_cond_branch, taken,
 #: has_mem); decoding runs once per uop, so the six bit tests are paid
@@ -139,14 +131,28 @@ def save_trace(trace: List[DynUop], path: str) -> None:
         handle.write(dumps_trace(trace))
 
 
-def _v2_columns_python(data: bytes, offset: int, n: int, n_srcs_total: int,
-                       n_mem: int, n_deps_total: int, n_loads: int):
-    """Lift the v2 columns with bulk ``struct.unpack_from`` calls."""
+def _loads_v2(data: bytes, context: str) -> List[DynUop]:
+    if len(data) < _COLUMNS_OFFSET:
+        raise TraceFormatError(
+            f"{context}: truncated v2 header ({len(data)} bytes)")
+    (_version, n, n_srcs_total, n_mem, n_deps_total,
+     n_loads) = _V2_HEADER.unpack_from(data, 4)
+    need = (_COLUMNS_OFFSET + 13 * n + n_srcs_total
+            + 8 * (n_mem + n_deps_total + n_loads))
+    if len(data) < need:
+        raise TraceFormatError(
+            f"{context}: truncated v2 trace ({len(data)} bytes, "
+            f"header implies {need})")
+    if len(data) > need:
+        raise TraceFormatError(
+            f"{context}: {len(data) - need} trailing bytes")
+    # Lift each column in one bulk operation.
+    offset = _COLUMNS_OFFSET
     pcs = struct.unpack_from(f"<{n}I", data, offset)
     offset += 4 * n
     ops = data[offset:offset + n]
     offset += n
-    flags = data[offset:offset + n]
+    flags_col = data[offset:offset + n]
     offset += n
     dsts = data[offset:offset + n]
     offset += n
@@ -163,64 +169,6 @@ def _v2_columns_python(data: bytes, offset: int, n: int, n_srcs_total: int,
     deps_blob = struct.unpack_from(f"<{n_deps_total}Q", data, offset)
     offset += 8 * n_deps_total
     store_deps = struct.unpack_from(f"<{n_loads}q", data, offset)
-    offset += 8 * n_loads
-    return (pcs, ops, flags, dsts, n_srcs, next_pcs, n_deps, srcs_blob,
-            mem_addrs, deps_blob, store_deps, offset)
-
-
-def _v2_columns_numpy(data: bytes, offset: int, n: int, n_srcs_total: int,
-                      n_mem: int, n_deps_total: int, n_loads: int):
-    """Lift the v2 columns via ``numpy.frombuffer`` + one ``tolist``.
-
-    Bit-identical to :func:`_v2_columns_python`: both produce the same
-    sequences of Python ints/bytes; only the bulk-conversion machinery
-    differs (pinned by tests/isa/test_traceio.py and the suite
-    fingerprints under both ``REPRO_ENGINE`` variants).
-    """
-    np = get_numpy()
-    pcs = np.frombuffer(data, "<u4", n, offset).tolist()
-    offset += 4 * n
-    ops = data[offset:offset + n]
-    offset += n
-    flags = data[offset:offset + n]
-    offset += n
-    dsts = data[offset:offset + n]
-    offset += n
-    n_srcs = data[offset:offset + n]
-    offset += n
-    next_pcs = np.frombuffer(data, "<u4", n, offset).tolist()
-    offset += 4 * n
-    n_deps = data[offset:offset + n]
-    offset += n
-    srcs_blob = data[offset:offset + n_srcs_total]
-    offset += n_srcs_total
-    mem_addrs = np.frombuffer(data, "<u8", n_mem, offset).tolist()
-    offset += 8 * n_mem
-    deps_blob = np.frombuffer(data, "<u8", n_deps_total, offset).tolist()
-    offset += 8 * n_deps_total
-    store_deps = np.frombuffer(data, "<i8", n_loads, offset).tolist()
-    offset += 8 * n_loads
-    return (pcs, ops, flags, dsts, n_srcs, next_pcs, n_deps, srcs_blob,
-            mem_addrs, deps_blob, store_deps, offset)
-
-
-def _loads_v2(data: bytes, context: str) -> List[DynUop]:
-    (_version, count, n_srcs_total, n_mem, n_deps_total,
-     n_loads) = _V2_HEADER.unpack_from(data, 4)
-    need = (4 + _V2_HEADER.size + 13 * count + n_srcs_total
-            + 8 * (n_mem + n_deps_total + n_loads))
-    if len(data) < need:
-        raise TraceFormatError(
-            f"{context}: truncated v2 trace ({len(data)} bytes, "
-            f"header implies {need})")
-    columns = _v2_columns_numpy if use_numpy() else _v2_columns_python
-    (pcs, ops, flags_col, dsts, n_srcs, next_pcs, n_deps, srcs_blob,
-     mem_addrs, deps_blob, store_deps, offset) = columns(
-        data, 4 + _V2_HEADER.size, count, n_srcs_total, n_mem,
-        n_deps_total, n_loads)
-    if offset != len(data):
-        raise TraceFormatError(
-            f"{context}: {len(data) - offset} trailing bytes")
     trace: List[DynUop] = []
     append = trace.append
     lat_by_op = _EXEC_LAT_BY_OP
@@ -232,7 +180,7 @@ def _loads_v2(data: bytes, context: str) -> List[DynUop]:
     mem_i = 0
     load_i = 0
     try:
-        for seq in range(count):
+        for seq in range(n):
             op = ops[seq]
             (is_load, is_store, is_branch, is_cond, taken,
              has_mem) = flag_decode[flags_col[seq]]
@@ -272,64 +220,6 @@ def _loads_v2(data: bytes, context: str) -> List[DynUop]:
     return trace
 
 
-def _loads_v1(data: bytes, context: str) -> List[DynUop]:
-    """Decode the version-1 interleaved-record format (old trace files)."""
-    (count,) = struct.unpack_from("<Q", data, 6)
-    offset = 4 + 10
-    trace: List[DynUop] = []
-    append = trace.append
-    lat_by_op = _EXEC_LAT_BY_OP
-    class_by_op = _EXEC_CLASS_BY_OP
-    dynuop = DynUop
-    head = _S_HEAD.unpack_from
-    u64 = _S_U64.unpack_from
-    nxt = _S_NEXT.unpack_from
-    i64 = _S_I64.unpack_from
-    dep_structs = _S_DEPS
-    try:
-        for seq in range(count):
-            pc, op, flags, dst, n_srcs = head(data, offset)
-            offset += 8
-            srcs = tuple(data[offset:offset + n_srcs])
-            offset += n_srcs
-            mem_addr = None
-            if flags & _FLAG_MEM:
-                (mem_addr,) = u64(data, offset)
-                offset += 8
-            next_pc, n_deps = nxt(data, offset)
-            offset += 5
-            if n_deps:
-                deps = (dep_structs[n_deps - 1].unpack_from(data, offset)
-                        if n_deps <= 8 else
-                        struct.unpack_from(f"<{n_deps}Q", data, offset))
-                offset += 8 * n_deps
-            else:
-                deps = ()
-            is_load = bool(flags & _FLAG_LOAD)
-            store_dep = -1
-            if is_load:
-                (store_dep,) = i64(data, offset)
-                offset += 8
-            append(dynuop(
-                seq=seq, pc=pc, op=op,
-                dst=None if dst == 0xFF else dst, srcs=srcs,
-                exec_lat=lat_by_op[op],
-                is_load=is_load, is_store=bool(flags & _FLAG_STORE),
-                is_branch=bool(flags & _FLAG_BRANCH),
-                is_cond_branch=bool(flags & _FLAG_COND),
-                mem_addr=mem_addr, taken=bool(flags & _FLAG_TAKEN),
-                next_pc=next_pc, src_deps=deps,
-                store_dep=store_dep,
-                exec_class=class_by_op[op]))
-    except (KeyError, struct.error, ValueError) as exc:
-        raise TraceFormatError(f"{context}: truncated or corrupt "
-                               f"at uop {len(trace)}: {exc}") from exc
-    if offset != len(data):
-        raise TraceFormatError(
-            f"{context}: {len(data) - offset} trailing bytes")
-    return trace
-
-
 def loads_trace(data: bytes, context: str = "<bytes>") -> List[DynUop]:
     """Deserialize a trace from its binary byte form.
 
@@ -338,13 +228,13 @@ def loads_trace(data: bytes, context: str = "<bytes>") -> List[DynUop]:
     """
     if data[:4] != MAGIC:
         raise TraceFormatError(f"{context}: not a CDFT trace file")
+    if len(data) < 6:
+        raise TraceFormatError(f"{context}: truncated before the version")
     (version,) = struct.unpack_from("<H", data, 4)
-    if version == 2:
-        return _loads_v2(data, context)
-    if version == 1:
-        return _loads_v1(data, context)
-    raise TraceFormatError(
-        f"{context}: trace version {version}, expected <= {VERSION}")
+    if version != VERSION:
+        raise TraceFormatError(
+            f"{context}: trace version {version}, expected {VERSION}")
+    return _loads_v2(data, context)
 
 
 def load_trace(path: str) -> List[DynUop]:

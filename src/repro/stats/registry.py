@@ -127,16 +127,6 @@ COUNTERS: Dict[str, str] = {
     "verify_cycle_checks": "per-cycle occupancy sweeps (level >= 2)",
     "verify_structural_scans": "full structural ROB/LSQ/RS scans",
     "verify_cache_scans": "cache tag-store sanity scans",
-    # ------------------------------------------------ event scheduler
-    # (repro.core.sched; engine telemetry, deliberately kept in a
-    # separate SchedulerStats accumulator so it never enters SimResult
-    # or its fingerprint — see docs/performance.md#the-event-engine)
-    "sched_events_scheduled": "completion events pushed into the event heap",
-    "sched_wakeups_scheduled": "timers pushed into the unified wakeup heap",
-    "sched_wakeups_coalesced": "same-cycle wakeups coalesced into one broadcast",
-    "sched_stage_skips": "stage invocations skipped (provably no work)",
-    "sched_idle_jumps": "idle spans jumped in O(1) by the event engine",
-    "sched_subclass_wakeups": "wakeup candidates from next_wakeups() hooks",
     # ------------------------------------------------ observability
     "obs_samples": "occupancy-gauge samples taken (obs_level >= 1)",
     "obs_mem_events": "memory-request events recorded (obs_level >= 2)",

@@ -275,27 +275,6 @@ def test_stat001_flags_undeclared_screen_counter():
     assert "screen_configs_prunned" in hits[0].message
 
 
-def test_stat001_allows_registered_sched_counters():
-    assert not findings("STAT001", """
-        def f(self):
-            self.counters.bump("sched_events_scheduled")
-            self.counters.bump("sched_wakeups_scheduled")
-            self.counters.bump("sched_wakeups_coalesced")
-            self.counters.bump("sched_stage_skips")
-            self.counters.bump("sched_idle_jumps")
-            self.counters.bump("sched_subclass_wakeups")
-    """)
-
-
-def test_stat001_flags_undeclared_sched_counter():
-    hits = findings("STAT001", """
-        def f(self):
-            self.counters.bump("sched_stage_skipz")
-    """)
-    assert len(hits) == 1
-    assert "sched_stage_skipz" in hits[0].message
-
-
 def test_stat001_suppressed():
     assert suppressed_count("STAT001", """
         def f(self):

@@ -144,49 +144,6 @@ def test_time001_accepts_cycleish_heap_timestamp():
     """)
 
 
-def test_time001_flags_literal_into_wakeup_heap():
-    # Wakeup-heap entries are bare cycle numbers, not tuples; a literal
-    # or literal-only local must be flagged exactly as for the event
-    # queue.
-    hits = findings("TIME001", """
-        import heapq
-
-        class Sched:
-            def park(self):
-                heapq.heappush(self.wakeups, 0)
-    """)
-    assert len(hits) == 1
-
-
-def test_time001_accepts_cycle_derived_wakeup():
-    assert not findings("TIME001", """
-        import heapq
-
-        class Sched:
-            def park(self, cycle):
-                resume_cycle = cycle + self.penalty
-                heapq.heappush(self.wakeups, resume_cycle)
-    """)
-
-
-def test_time001_flags_stale_local_into_schedule_wakeup():
-    hits = findings("TIME001", """
-        class Timer:
-            def arm(self):
-                when = 0
-                self._schedule_wakeup(when)
-    """)
-    assert len(hits) == 1
-
-
-def test_time001_accepts_cycle_derived_schedule_wakeup():
-    assert not findings("TIME001", """
-        class Timer:
-            def arm(self, cycle):
-                self._schedule_wakeup(cycle + self.interval)
-    """)
-
-
 def test_time001_sees_through_method_alias():
     hits = findings("TIME001", """
         class Core:

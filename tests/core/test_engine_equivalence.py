@@ -1,77 +1,16 @@
-"""Event-driven engine ⇄ naive reference loop equivalence.
+"""The subclass ticking hook of the cycle loop.
 
-The event-driven ``run()`` loop (unified wakeup set, O(1) idle spans,
-stage-skip predicates) must be *bit-identical* to the retained
-tick-every-cycle ``run_reference()`` loop: same fingerprints, same
-counters, same stall attribution.  These tests pin that equivalence on
-the PR-3 fuzz programs (random well-formed control flow across all
-three pipeline models) and on the perf micro-suite kernels, and
-exercise the subclass wakeup contract (``_schedule_wakeup`` /
-``next_wakeups``) with a probed toy pipeline.
-
-``run_reference`` is not dead weight outside this file: it is the
-measurement baseline for the ``event_engine_speedup`` ratio in
-``repro-sim perf`` (see repro.harness.perfbench).
+``run()`` jumps idle spans in O(1); a subclass pins per-cycle ticking
+through ``needs_every_cycle()`` (the CDF pipeline does while its
+dual-stream structures are live).  A probe that always asks for every
+cycle must get exactly that, without changing the machine's results.
 """
-
-import pytest
 
 from repro.config import SimConfig
 from repro.core import BaselinePipeline
-from repro.core.sched import SCHED_COUNTER_KEYS
 from repro.isa import assemble, execute
-from repro.verify.campaign import MODES, _make_pipeline, fuzz_config
-from repro.verify.fuzz import fuzz_program
-
-FUZZ_SEEDS = (0, 1, 2)
-
-MICRO_SUITE = (
-    ("astar", "baseline"),
-    ("mcf", "cdf"),
-    ("milc", "pre"),
-    ("bzip", "baseline"),
-    ("nab", "cdf"),
-    ("lbm", "pre"),
-)
-MICRO_SCALE = 0.05
 
 
-def fuzz_pipeline(mode, seed):
-    program, memory = fuzz_program(seed)
-    trace = execute(program, memory, max_uops=200_000, require_halt=False)
-    config = fuzz_config(mode, seed)
-    return _make_pipeline(mode, trace, config, program,
-                          benchmark=f"fuzz-{seed}")
-
-
-@pytest.mark.parametrize("seed", FUZZ_SEEDS)
-@pytest.mark.parametrize("mode", MODES)
-def test_fuzz_program_equivalence(mode, seed):
-    event = fuzz_pipeline(mode, seed).run()
-    naive = fuzz_pipeline(mode, seed).run_reference()
-    assert event.fingerprint() == naive.fingerprint(), (
-        f"event loop diverged from reference loop on fuzz seed {seed} "
-        f"[{mode}]")
-
-
-@pytest.mark.parametrize("name,mode", MICRO_SUITE)
-def test_micro_suite_equivalence(name, mode):
-    from repro.harness.runner import (config_for_mode, load_workload,
-                                      make_pipeline)
-
-    def build():
-        workload = load_workload(name, MICRO_SCALE)
-        config = config_for_mode(mode)
-        config.stats_warmup_uops = workload.warmup_uops()
-        return make_pipeline(mode, workload.trace(), config, workload)
-
-    event = build().run()
-    naive = build().run_reference()
-    assert event.fingerprint() == naive.fingerprint(), (
-        f"event loop diverged from reference loop on {name} [{mode}]")
-
-
-# ------------------------------------------------------- scheduler stats
 def small_trace():
     program = assemble("""
         movi r1, 40
@@ -87,95 +26,49 @@ def small_trace():
     return execute(program, {4096: 5})
 
 
-def test_scheduler_stats_populated_and_registered():
-    pipeline = BaselinePipeline(small_trace(), SimConfig.baseline(),
-                                benchmark="sched-stats")
-    pipeline.run()
-    stats = pipeline.sched_stats
-    assert stats.events_scheduled > 0
-    counters = stats.to_counters()
-    assert set(counters) == set(SCHED_COUNTER_KEYS)
-
-
-def test_scheduler_stats_stay_out_of_the_fingerprint():
-    """Engine telemetry describes the engine, not the machine: the two
-    loops schedule differently but must fingerprint identically."""
-    event_p = BaselinePipeline(small_trace(), SimConfig.baseline(),
-                               benchmark="sched-fp")
-    naive_p = BaselinePipeline(small_trace(), SimConfig.baseline(),
-                               benchmark="sched-fp")
-    event = event_p.run()
-    naive = naive_p.run_reference()
-    assert event.fingerprint() == naive.fingerprint()
-    assert event_p.sched_stats.stage_skips \
-        != naive_p.sched_stats.stage_skips
-
-
-# ------------------------------------------------- subclass wakeup hooks
 def assert_architecturally_identical(a, b):
     """Everything but the tick-set telemetry must match.
 
-    Extra wakeup ticks land inside idle spans, so they cannot change
-    machine state — but ``idle_skipped_cycles`` *describes the tick
-    set* (a span the engine jumped in one hop versus two counts one
-    fewer skipped cycle), so it is the one counter extra wakeups are
-    allowed to shift.  This is also why wakeup sources must never be
-    *lost*: the full fingerprints (which include this counter) are
-    pinned by the equivalence tests above against the reference loop.
+    Extra ticks land inside idle spans, so they cannot change machine
+    state — but ``idle_skipped_cycles`` *describes the tick set* (a span
+    the engine jumped counts its skipped cycles, a span it ticked
+    through counts none), so it is the one counter extra ticks are
+    allowed to shift.
     """
     assert a.cycles == b.cycles
     assert a.retired_uops == b.retired_uops
     ca = {k: v for k, v in a.counters.items() if k != "idle_skipped_cycles"}
     cb = {k: v for k, v in b.counters.items() if k != "idle_skipped_cycles"}
     assert ca == cb
-class TickProbe(BaselinePipeline):
-    """Records every ticked cycle via the per-tick ``_next_cycle`` call."""
+
+
+class EveryCycleProbe(BaselinePipeline):
+    """Asks for every cycle and records each ticked one."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.ticked = []
+
+    def needs_every_cycle(self):
+        return True
 
     def _next_cycle(self, cycle):
         self.ticked.append(cycle)
         return super()._next_cycle(cycle)
 
 
-class HeartbeatProbe(TickProbe):
-    """Requests a wakeup candidate every 7 cycles via the hook."""
-
-    def next_wakeups(self, cycle):
-        return (cycle + 7,)
-
-
-def test_schedule_wakeup_forces_a_tick_without_changing_results():
+def test_needs_every_cycle_hook_ticks_every_cycle():
     plain = BaselinePipeline(small_trace(), SimConfig.baseline(),
-                             benchmark="wakeup")
+                             benchmark="every-cycle")
     baseline_result = plain.run()
+    assert baseline_result.counters["idle_skipped_cycles"] > 0, (
+        "the plain run must jump idle spans for the probe to mean much")
 
-    probe = TickProbe(small_trace(), SimConfig.baseline(),
-                      benchmark="wakeup")
-    target = baseline_result.cycles // 2
-    probe._schedule_wakeup(target)
+    probe = EveryCycleProbe(small_trace(), SimConfig.baseline(),
+                            benchmark="every-cycle")
     result = probe.run()
 
     assert_architecturally_identical(result, baseline_result)
-    assert target in probe.ticked, (
-        "a heap wakeup must force a tick at its cycle")
-    assert probe.sched_stats.wakeups_scheduled == 1
-
-
-def test_next_wakeups_hook_bounds_idle_jumps():
-    plain = BaselinePipeline(small_trace(), SimConfig.baseline(),
-                             benchmark="heartbeat")
-    baseline_result = plain.run()
-
-    probe = HeartbeatProbe(small_trace(), SimConfig.baseline(),
-                           benchmark="heartbeat")
-    result = probe.run()
-
-    assert_architecturally_identical(result, baseline_result)
-    assert probe.sched_stats.subclass_wakeups > 0
-    gaps = [b - a for a, b in zip(probe.ticked, probe.ticked[1:])]
-    assert gaps and max(gaps) <= 7, (
-        "the engine must honour hook candidates: no idle jump may "
-        "overshoot the next heartbeat")
+    assert probe.ticked == list(range(probe.cycle)), (
+        "a hook that says 'tick' must get every cycle ticked")
+    assert result.counters["idle_skipped_cycles"] == 0

@@ -25,6 +25,7 @@ from repro.harness.figures import (
     RUNNERS,
     WITHIN,
     ClaimResult,
+    ClaimValueError,
     FigureSpec,
     Profile,
     append_history,
@@ -153,6 +154,13 @@ def test_analytic_claim_runs_without_simulation():
     assert result.verdict in (MATCH, WITHIN)
     assert result.value == pytest.approx(3.2, abs=1.0)
     assert result.names == ()
+
+
+@pytest.mark.parametrize("bad", [None, float("nan")])
+def test_claim_without_a_finite_value_raises(monkeypatch, bad):
+    monkeypatch.setitem(RUNNERS, "table1_area", lambda profile, seed: bad)
+    with pytest.raises(ClaimValueError, match=r"table1-area \[quick\]"):
+        run_claim(get_spec("table1-area"), "quick")
 
 
 def test_run_figures_never_skips_planned_claims():

@@ -115,6 +115,15 @@ def test_version_mismatch_is_treated_as_corruption(tmp_path):
     assert store.entries() == []                     # deleted
 
 
+def test_entry_shorter_than_header_is_treated_as_corruption(tmp_path):
+    store = TraceStore(tmp_path / "private")
+    store.put("bzip", SMALL, 42, fresh_trace())
+    [entry] = store.entries()
+    entry.write_bytes(entry.read_bytes()[:10])       # magic + version + 4
+    assert store.get("bzip", SMALL, 42) is None
+    assert store.entries() == []                     # deleted
+
+
 # ------------------------------------------------------------ salt
 def test_salt_change_invalidates_keys(monkeypatch):
     store = get_trace_store()
