@@ -529,56 +529,43 @@ class ImportLayeringRule(Rule):
     FORBIDDEN: Dict[str, FrozenSet[str]] = {
         "config": frozenset({
             "isa", "stats", "memory", "frontend", "energy", "workloads",
-            "core", "cdf", "runahead", "verify", "obs", "analytic",
-            "harness", "cli", "analysis"}),
+            "core", "cdf", "runahead", "verify", "obs", "harness", "cli",
+            "analysis"}),
         "isa": frozenset({
-            "config", "stats", "memory", "frontend", "energy",
-            "workloads", "core", "cdf", "runahead", "verify", "obs",
-            "analytic", "harness", "cli", "analysis"}),
+            "config", "stats", "memory", "frontend", "energy", "workloads",
+            "core", "cdf", "runahead", "verify", "obs", "harness", "cli",
+            "analysis"}),
         "stats": frozenset({
             "memory", "frontend", "energy", "workloads", "core", "cdf",
-            "runahead", "verify", "obs", "analytic", "harness", "cli",
-            "analysis"}),
+            "runahead", "verify", "obs", "harness", "cli", "analysis"}),
         "memory": frozenset({
             "stats", "frontend", "energy", "workloads", "core", "cdf",
-            "runahead", "verify", "obs", "analytic", "harness", "cli",
-            "analysis"}),
+            "runahead", "verify", "obs", "harness", "cli", "analysis"}),
         "frontend": frozenset({
             "memory", "energy", "workloads", "core", "cdf", "runahead",
-            "verify", "obs", "analytic", "harness", "cli", "analysis"}),
+            "verify", "obs", "harness", "cli", "analysis"}),
         "energy": frozenset({
             "memory", "frontend", "workloads", "core", "cdf", "runahead",
-            "verify", "obs", "analytic", "harness", "cli", "analysis"}),
+            "verify", "obs", "harness", "cli", "analysis"}),
         "workloads": frozenset({
             "memory", "frontend", "energy", "core", "cdf", "runahead",
-            "verify", "obs", "analytic", "harness", "cli", "analysis"}),
+            "verify", "obs", "harness", "cli", "analysis"}),
         "obs": frozenset({
             "memory", "frontend", "energy", "workloads", "core", "cdf",
-            "runahead", "verify", "analytic", "harness", "cli",
-            "analysis"}),
-        # analytic (the fast-tier screening model) is a *consumer* of
-        # the foundations only: profiles summarize isa-level traces and
-        # the model reads SimConfig.  It must never import the
-        # cycle-accurate machine — predictions that peek at simulator
-        # internals stop being an independent cross-check.
-        "analytic": frozenset({
-            "memory", "frontend", "energy", "workloads", "core", "cdf",
-            "runahead", "verify", "obs", "harness", "cli", "analysis"}),
+            "runahead", "verify", "harness", "cli", "analysis"}),
         "core": frozenset({
-            "workloads", "cdf", "runahead", "verify", "obs", "analytic",
-            "harness", "cli", "analysis"}),
+            "workloads", "cdf", "runahead", "verify", "obs", "harness", "cli",
+            "analysis"}),
         "cdf": frozenset({
-            "workloads", "runahead", "verify", "obs", "analytic",
-            "harness", "cli", "analysis"}),
+            "workloads", "runahead", "verify", "obs", "harness", "cli",
+            "analysis"}),
         "runahead": frozenset({
-            "workloads", "verify", "obs", "analytic", "harness", "cli",
-            "analysis"}),
+            "workloads", "verify", "obs", "harness", "cli", "analysis"}),
         "verify": frozenset({
-            "workloads", "obs", "analytic", "harness", "cli",
-            "analysis"}),
+            "workloads", "obs", "harness", "cli", "analysis"}),
         "analysis": frozenset({
             "memory", "frontend", "energy", "workloads", "core", "cdf",
-            "runahead", "verify", "obs", "analytic", "harness", "cli"}),
+            "runahead", "verify", "obs", "harness", "cli"}),
     }
 
     def _source_package(self, module: str) -> Optional[str]:

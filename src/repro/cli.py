@@ -14,7 +14,6 @@ Installed as ``repro-sim`` (or ``python -m repro``):
     repro-sim trace --benchmark astar --mode cdf --out trace.json
     repro-sim cache stats
     repro-sim sweep --knob memory_speed
-    repro-sim sweep --knob mshrs --screen --measure-recall --out screen.json
     repro-sim perf [--smoke] [--baseline benchmarks/perf_baseline.json]
     repro-sim disasm bzip
     repro-sim lint [paths...] [--format json] [--baseline FILE]
@@ -67,6 +66,7 @@ from .harness import (
     load_workload,
     table1_text,
 )
+from .harness.figures import QUICK_SCALE
 from .harness.tables import render_table
 from .workloads import DEFAULT_SEED, SUITE, suite_names
 
@@ -241,45 +241,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_cmd = sub.add_parser(
         "sweep",
-        help="sweep one config knob across values; --screen ranks the "
-             "grid with the analytic fast tier first and simulates "
-             "only the promoted points (see docs/analytic.md)",
+        help="sweep one config knob across values and print each "
+             "mode's geomean speedup over baseline",
         parents=[engine_opts])
+    sweep_cmd.set_defaults(error=sweep_cmd.error)
     sweep_cmd.add_argument(
         "--knob", required=True, choices=sorted(sweep_knob_names()),
         help="config knob to sweep")
     sweep_cmd.add_argument(
         "--values", nargs="+", default=None, metavar="V",
-        help="sweep values (default: the pinned QUICK grid for the knob)")
+        help="sweep values (default: a five-value grid for the knob)")
     sweep_cmd.add_argument(
         "--benchmarks", nargs="+", choices=suite_names(), default=None,
         metavar="NAME",
-        help="kernels to run at each point (default: pinned QUICK trio)")
+        help="kernels to run at each point (default: astar mcf lbm)")
     sweep_cmd.add_argument(
         "--modes", nargs="+", choices=("baseline", "cdf", "pre"),
         default=None, metavar="MODE",
-        help="cores to run at each point (default: baseline cdf)")
-    sweep_cmd.add_argument("--scale", type=float, default=None,
-                           help="workload scale (default: QUICK 0.15)")
+        help="cores to run at each point; baseline plus at least one "
+             "of cdf, pre (default: baseline cdf)")
+    sweep_cmd.add_argument(
+        "--scale", type=float, default=QUICK_SCALE,
+        help=f"workload scale (default: {QUICK_SCALE}, the QUICK "
+             "figure scale; smaller scales leave CDF untrained)")
     sweep_cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sweep_cmd.add_argument(
-        "--screen", action="store_true",
-        help="two-tier mode: score every value analytically, simulate "
-             "only the top-K / within-epsilon points")
-    sweep_cmd.add_argument(
-        "--top-k", type=int, default=3, metavar="K",
-        help="promoted-set size floor with --screen (default 3)")
-    sweep_cmd.add_argument(
-        "--epsilon", type=float, default=0.05, metavar="FRAC",
-        help="also promote values scoring within FRAC of the best "
-             "(default 0.05)")
-    sweep_cmd.add_argument(
-        "--measure-recall", action="store_true",
-        help="with --screen: also simulate the pruned values and "
-             "report whether the true best was promoted")
-    sweep_cmd.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the screening report as JSON")
 
     perf = sub.add_parser(
         "perf",
@@ -636,69 +621,45 @@ def _parse_sweep_value(text: str):
 
 def cmd_sweep(args) -> int:
     from .harness.sweep import (
+        DEFAULT_MODES,
+        DEFAULT_NAMES,
+        DEFAULT_VALUES,
         KNOBS,
-        QUICK_SCREEN_MODES,
-        QUICK_SCREEN_NAMES,
-        QUICK_SCREEN_SCALE,
-        QUICK_SCREEN_SWEEPS,
         geomean_speedups,
-        screened_sweep,
         sweep,
     )
+    from .memory import MemoryHierarchy
 
     knob = KNOBS[args.knob]
     values = ([_parse_sweep_value(value) for value in args.values]
-              if args.values else list(QUICK_SCREEN_SWEEPS[args.knob]))
-    names = tuple(args.benchmarks or QUICK_SCREEN_NAMES)
-    modes = tuple(args.modes or QUICK_SCREEN_MODES)
-    scale = QUICK_SCREEN_SCALE if args.scale is None else args.scale
+              if args.values else list(DEFAULT_VALUES[args.knob]))
+    names = tuple(args.benchmarks or DEFAULT_NAMES)
+    modes = tuple(args.modes or DEFAULT_MODES)
+    over = [mode for mode in modes if mode != "baseline"]
+    if "baseline" not in modes:
+        args.error(f"--modes {' '.join(modes)}: speedups are over "
+                   "baseline, so baseline must be one of the modes")
+    if not over:
+        args.error("--modes baseline: nothing to compare; add cdf or pre")
+    # The memory models own the rules for a legal config; build each
+    # point's hierarchy once so a bad value fails before any job runs.
+    for value in values:
+        try:
+            MemoryHierarchy(knob(config_for_mode("baseline"), value))
+        except (TypeError, ValueError, OverflowError) as error:
+            args.error(f"--knob {args.knob} cannot take value "
+                       f"{value!r}: {error}")
 
-    if not args.screen:
-        results = sweep(knob, values, names, modes=modes, scale=scale,
-                        seed=args.seed)
-        speedups = geomean_speedups(results)
-        over = [mode for mode in modes if mode != "baseline"]
-        rows = [(repr(value),
-                 *(f"{speedups[value][mode]:.3f}x" for mode in over))
-                for value in values]
-        print(render_table(f"sweep: {args.knob} ({len(values)} values, "
-                           f"geomean speedup over baseline)",
-                           ("value", *over), rows))
-        return 0
-
-    report = screened_sweep(knob, values, names, modes=modes,
-                            scale=scale, seed=args.seed,
-                            top_k=args.top_k, epsilon=args.epsilon,
-                            measure_recall=args.measure_recall)
-    rows = []
-    for value in sorted(values, key=lambda v: report.scores[v],
-                        reverse=True):
-        if value in report.results:
-            from .harness.sweep import _sim_score
-            status = "promoted"
-            sim = f"{_sim_score(report.results[value]):.3f}"
-        else:
-            status, sim = "pruned", "—"
-        rows.append((repr(value), f"{report.scores[value]:.3f}",
-                     status, sim))
-    print(render_table(
-        f"screened sweep: {args.knob} ({len(report.promoted)}/"
-        f"{len(values)} promoted)",
-        ("value", "analytic IPC", "tier", "simulated IPC"), rows))
-    print(f"best (simulated, promoted set): "
-          f"{report.best_promoted()!r}")
-    if report.recall is not None:
-        print(f"recall: {report.recall:.1f} "
-              f"(true best {report.true_best!r} "
-              f"{'promoted' if report.recall == 1.0 else 'MISSED'})")
-    if args.out:
-        import json
-        with open(args.out, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"screening report written to {args.out}")
-    return 0 if report.recall in (None, 1.0) else 1
+    results = sweep(knob, values, names, modes=modes, scale=args.scale,
+                    seed=args.seed)
+    speedups = geomean_speedups(results)
+    rows = [(repr(value),
+             *(f"{speedups[value][mode]:.3f}x" for mode in over))
+            for value in values]
+    print(render_table(f"sweep: {args.knob} ({len(values)} values, "
+                       f"geomean speedup over baseline)",
+                       ("value", *over), rows))
+    return 0
 
 
 def perf_default_report() -> str:

@@ -22,12 +22,15 @@ from typing import Dict, List, Optional, Sequence
 from ..config import SimConfig
 from ..frontend import BranchUnit
 from ..isa.dynuop import DynUop
-from ..isa.ports import UOPS_PER_ICACHE_LINE
 from ..memory import MemoryHierarchy
 from ..stats import Counters, MLPTracker, RobStallProfiler, SimResult
 from .rob import COMPLETE, ISSUED, READY, WAITING, RobEntry
 
 __all__ = ["BaselinePipeline", "UOPS_PER_ICACHE_LINE"]
+
+#: Uops packed into one I-cache line (fetch geometry; PCs are uop
+#: indices in this ISA, so a 64B line holds 16 4-byte uop slots).
+UOPS_PER_ICACHE_LINE = 16
 
 
 class BaselinePipeline:

@@ -505,78 +505,6 @@ class Engine:
                 f"{'s' if self.jobs != 1 else ''})")
 
 
-# --------------------------------------------------- screening front-end
-class ScreeningEngine:
-    """Two-tier front end: analytic scores first, full sim on demand.
-
-    Wraps a full :class:`Engine` (a fresh one from the environment by
-    default) and adds the analytical fast tier from
-    :mod:`repro.analytic`: :meth:`predict` scores a :class:`Job` in
-    microseconds against a memoized per-workload
-    :class:`~repro.analytic.profile.TraceProfile`, and :meth:`run`
-    delegates to the wrapped engine for the points a caller decides to
-    simulate.  Promotion policy (top-K / within-epsilon over sweep
-    values) lives in :func:`repro.harness.sweep.screened_sweep`; this
-    class only provides the two tiers plus screening counters.
-    """
-
-    def __init__(self, full_engine=None,
-                 counters: Optional["Counters"] = None):
-        from ..analytic import AnalyticModel
-        from ..stats import Counters
-        self.full = full_engine if full_engine is not None else Engine()
-        self.model = AnalyticModel()
-        self.counters = counters if counters is not None else Counters()
-        self._profiles: Dict[tuple, object] = {}
-
-    # -------------------------------------------------- analytic tier
-    def profile_for(self, benchmark: str, scale: float = 1.0,
-                    seed: int = DEFAULT_SEED):
-        """The (memoized) :class:`TraceProfile` for one workload point."""
-        from ..analytic import TraceProfile
-        from .runner import load_workload
-        key = (benchmark, float(scale), int(seed))
-        profile = self._profiles.get(key)
-        if profile is None:
-            workload = load_workload(benchmark, scale, seed)
-            profile = TraceProfile.from_trace(workload.trace(),
-                                              name=benchmark)
-            self._profiles[key] = profile
-            self.counters.bump("screen_profiles_built")
-        return profile
-
-    def predict(self, job: Job):
-        """Analytic prediction for *job* (an ``AnalyticPrediction``)."""
-        if job.kind != "sim":
-            raise ValueError(
-                f"screening only scores 'sim' jobs, not {job.kind!r}")
-        profile = self.profile_for(job.benchmark, job.scale, job.seed)
-        config = job.config
-        if config is None:
-            from .runner import config_for_mode
-            config = config_for_mode(job.mode)
-        self.counters.bump("screen_configs_scored")
-        return self.model.predict(profile, config)
-
-    def predict_ipc(self, job: Job) -> float:
-        """Predicted IPC for *job* (the screening tier's score)."""
-        return self.predict(job).ipc
-
-    # ------------------------------------------------------ full tier
-    def run(self, jobs: Sequence[Job]) -> List:
-        """Full-simulation tier: delegate to the wrapped engine."""
-        return self.full.run(jobs)
-
-    def summary(self) -> str:
-        scored = self.counters["screen_configs_scored"]
-        profiles = self.counters["screen_profiles_built"]
-        promoted = self.counters["screen_configs_promoted"]
-        pruned = self.counters["screen_configs_pruned"]
-        return (f"screen: {scored} configs scored ({profiles} profiles), "
-                f"{promoted} promoted, {pruned} pruned; "
-                + self.full.summary())
-
-
 # --------------------------------------------------------- default engine
 _default_engine: Optional[Engine] = None
 

@@ -182,22 +182,6 @@ def format_value(unit: str, value: float) -> str:
 # cache memoizes them across invocations, and the Fig. 13-16 + ablation
 # claims share one in-process comparison per (names, scale, seed).
 
-def _claim_geomean(values) -> float:
-    """Geomean with the figure-extractor contract.
-
-    :func:`repro.stats.metrics.geomean` raises
-    :class:`~repro.stats.metrics.MetricDomainError` on empty or
-    non-positive input; for an extractor that means the claim's kernel
-    list filtered to nothing (or a run produced a zero metric), which
-    the registry reports as the sentinel value 0.0 — a guaranteed
-    ``diverged`` verdict — rather than crashing the whole registry run.
-    """
-    try:
-        return geomean(values)
-    except MetricDomainError:
-        return 0.0
-
-
 def _comparison_geomeans(profile: Profile, seed: int) -> Dict[str, float]:
     """Geomean CDF/PRE ratios for speedup, MLP, traffic, and energy."""
     from .experiments import get_comparison
@@ -205,12 +189,11 @@ def _comparison_geomeans(profile: Profile, seed: int) -> Dict[str, float]:
     results = get_comparison(profile.names, profile.scale, seed)
     out: Dict[str, float] = {}
     for mode in ("cdf", "pre"):
-        out[f"speedup_{mode}"] = _claim_geomean(
-            speedups(results, mode).values())
+        out[f"speedup_{mode}"] = geomean(speedups(results, mode).values())
         for metric, method in (("mlp", "mlp_ratio"),
                                ("traffic", "traffic_ratio"),
                                ("energy", "energy_ratio")):
-            out[f"{metric}_{mode}"] = _claim_geomean(
+            out[f"{metric}_{mode}"] = geomean(
                 getattr(by_mode[mode], method)(by_mode["baseline"])
                 for by_mode in results.values())
     return out
@@ -523,10 +506,12 @@ class ClaimResult:
 
 # ------------------------------------------------------------- execution
 class ClaimValueError(ValueError):
-    """An implemented claim's extractor returned no finite value.
+    """An implemented claim's extractor produced no finite value.
 
-    Such a value has no honest verdict: ``None`` would count as planned
-    and NaN as diverged, so the run fails instead.
+    Such a value has no honest verdict: ``None`` would count as planned,
+    NaN as diverged, and a geomean over an empty or zero-valued input
+    (a zero-IPC baseline, a mode with no DRAM traffic) has no value at
+    all, so the run fails instead.
     """
 
 
@@ -535,12 +520,17 @@ def run_claim(spec: FigureSpec, mode: str,
     """Run one claim's metric under its *mode* profile.
 
     Raises :class:`ClaimValueError` when an implemented claim's value
-    is ``None`` or not finite.
+    is ``None`` or not finite, or when its extractor raises
+    :class:`~repro.stats.metrics.MetricDomainError`.
     """
     if spec.status != "implemented":
         return ClaimResult(spec.fig_id, mode, None, PLANNED, 0.0, ())
     profile = spec.profile(mode)
-    value = RUNNERS[spec.runner](profile, seed)
+    try:
+        value = RUNNERS[spec.runner](profile, seed)
+    except MetricDomainError as error:
+        raise ClaimValueError(
+            f"claim {spec.fig_id} [{mode}]: {error}") from error
     if value is None or not math.isfinite(value):
         raise ClaimValueError(
             f"claim {spec.fig_id} [{mode}]: extractor returned {value!r}, "

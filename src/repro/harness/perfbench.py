@@ -33,25 +33,14 @@ real ``$REPRO_CACHE_DIR``:
     "low-overhead" contract (docs/observability.md): the hooks are a
     single ``is not None`` test per site at level 0, and even level 1
     must stay cheap.
-``sweep_sim_s``
-    Best-of-reps simulation-only *CPU* time (traces pre-loaded,
-    pipeline construction excluded) for the suite; CPU rather than
-    wall time keeps background load out of ``screen_speedup``.
-``analytic_profile_s`` / ``analytic_per_config_s``
-    The analytic screening tier (docs/analytic.md): best-of-reps CPU
-    time to build every suite :class:`~repro.analytic.TraceProfile`,
-    and the mean model-evaluation time per (kernel, config) point.
 
 Absolute seconds are machine-dependent, so cross-machine comparisons
 (CI) use the *derived ratios* — ``trace_compile_speedup``
 (functional/trace-load), ``cold_over_warm``, ``warm_over_obs``
-(warm/obs-instrumented; ~1.0, drops when telemetry gets expensive),
-and ``screen_speedup`` (simulation time over the analytic tier's
-profile+score time for the same suite; the screening tier's reason to
-exist — its committed floor is 50x) — which track the architecture of
-the code rather than the speed of the host.  Same-machine comparisons
-(a developer re-running ``repro-sim perf``) use the raw timings with a
-noise tolerance band.
+(warm/obs-instrumented; ~1.0, drops when telemetry gets expensive) —
+which track the architecture of the code rather than the speed of the
+host.  Same-machine comparisons (a developer re-running ``repro-sim
+perf``) use the raw timings with a noise tolerance band.
 
 This module is on simlint's DET003 wall-clock allowlist: measuring time
 is its purpose; simulation results never depend on it.
@@ -59,7 +48,6 @@ is its purpose; simulation results never depend on it.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import shutil
@@ -73,12 +61,12 @@ from .engine import Engine, Job
 #: Stable report schema version (bump on any shape change).
 #: v2: added the obs-overhead column (``sweep_obs_s`` / ``warm_over_obs``).
 #: v3: event-vs-reference loop columns and per-variant decode timings.
-#: v4: analytic fast-tier columns (``analytic_profile_s`` /
-#: ``analytic_per_config_s`` / ``screen_speedup``); see docs/analytic.md.
-#: v5: one cycle loop and one decoder: ``sweep_event_s`` became
-#: ``sweep_sim_s``; the reference-loop, per-variant decode and
-#: ``env.engine`` fields are gone.
-SCHEMA_VERSION = 5
+#: v4: analytic screening-tier columns.
+#: v5: one cycle loop and one decoder: the reference-loop, per-variant
+#: decode and ``env.engine`` fields are gone.
+#: v6: the analytic screening-tier columns and the simulation-only
+#: column that fed their ratio are gone.
+SCHEMA_VERSION = 6
 
 #: Default report filename, written to the current directory (the repo
 #: root in CI and in the documented workflow).
@@ -144,9 +132,10 @@ def _sweep_direct(scale: float) -> float:
     """Simulation-only suite CPU time: one ``run()`` per job.
 
     Traces are materialised and the pipeline constructed *outside* the
-    timed region, so only the cycle loop is timed.  Uses CPU time
+    timed region, so only the cycle loop is timed (and, under
+    :func:`run_profile`, profiled).  Uses CPU time
     (``time.process_time``) rather than wall time to keep unrelated
-    machine load out of the ratios built on it.
+    machine load out of it.
     """
     from .runner import config_for_mode, load_workload, make_pipeline
     total = 0.0
@@ -160,57 +149,6 @@ def _sweep_direct(scale: float) -> float:
         pipeline.run()
         total += time.process_time() - start
     return total
-
-
-def _analytic_timing(scale: float,
-                     reps: int) -> Tuple[float, float, float]:
-    """``(analytic_profile_s, analytic_suite_s, analytic_per_config_s)``.
-
-    Times the analytic fast tier over the same suite the
-    ``sweep_sim_s`` column simulates: best-of-reps CPU time to build
-    every :class:`~repro.analytic.TraceProfile` (traces pre-loaded, as
-    in a warm screening sweep) and to score every ``(kernel, mode)``
-    point.  ``analytic_suite_s`` — grid-amortized profile build plus
-    one evaluation per point — is the screening tier's per-grid-point
-    cost for the whole suite, and ``sweep_sim_s / analytic_suite_s``
-    is the committed ``screen_speedup`` ratio.  Model evaluations are microseconds, so
-    the per-config column is measured over many repeated evaluations.
-    """
-    from ..analytic import AnalyticModel, TraceProfile
-    from .runner import config_for_mode, load_workload
-    from .sweep import QUICK_SCREEN_SWEEPS
-
-    # A screening sweep builds each profile once and scores it at every
-    # grid point, so the suite cost charges each profile 1/grid of its
-    # build time — the pinned QUICK grids set the amortization.
-    grid = min(len(values) for values in QUICK_SCREEN_SWEEPS.values())
-
-    traces = {}
-    for name, _mode in PERF_SUITE:
-        traces[name] = load_workload(name, scale).trace()
-    configs = [(name, config_for_mode(mode)) for name, mode in PERF_SUITE]
-    model = AnalyticModel()
-    evals_per_rep = 50
-
-    profile_s = suite_eval_s = None
-    for _ in range(reps):
-        start = time.process_time()
-        profiles = {name: TraceProfile.from_trace(trace, name=name)
-                    for name, trace in traces.items()}
-        elapsed = time.process_time() - start
-        profile_s = elapsed if profile_s is None \
-            else min(profile_s, elapsed)
-
-        start = time.process_time()
-        for _ in range(evals_per_rep):
-            for name, config in configs:
-                model.predict(profiles[name], config)
-        elapsed = (time.process_time() - start) / evals_per_rep
-        suite_eval_s = elapsed if suite_eval_s is None \
-            else min(suite_eval_s, elapsed)
-
-    per_config_s = suite_eval_s / len(PERF_SUITE)
-    return profile_s, profile_s / grid + suite_eval_s, per_config_s
 
 
 def run_perfbench(smoke: bool = False, reps: Optional[int] = None,
@@ -258,14 +196,6 @@ def run_perfbench(smoke: bool = False, reps: Optional[int] = None,
                     for name, mode in PERF_SUITE]
         note(f"warm sweep x{reps} (obs_level=1 telemetry)")
         sweep_obs_s = min(_sweep_once(obs_jobs) for _ in range(reps))
-
-        note(f"cycle loop x{reps} (sim only)")
-        sweep_sim_s = min(_sweep_direct(scale) for _ in range(reps))
-
-        # Analytic fast tier over the same suite (docs/analytic.md).
-        note(f"analytic fast tier x{reps} (profiles + model evals)")
-        analytic_profile_s, analytic_suite_s, analytic_per_config_s = \
-            _analytic_timing(scale, reps)
     finally:
         if saved_cache_dir is None:
             os.environ.pop("REPRO_CACHE_DIR", None)
@@ -290,9 +220,6 @@ def run_perfbench(smoke: bool = False, reps: Optional[int] = None,
             "sweep_cold_s": round(sweep_cold_s, 4),
             "sweep_warm_s": round(sweep_warm_s, 4),
             "sweep_obs_s": round(sweep_obs_s, 4),
-            "sweep_sim_s": round(sweep_sim_s, 4),
-            "analytic_profile_s": round(analytic_profile_s, 4),
-            "analytic_per_config_s": round(analytic_per_config_s, 6),
         },
         "derived": {
             "trace_compile_speedup": round(
@@ -301,9 +228,6 @@ def run_perfbench(smoke: bool = False, reps: Optional[int] = None,
                 sweep_cold_s / sweep_warm_s, 3) if sweep_warm_s else 0.0,
             "warm_over_obs": round(
                 sweep_warm_s / sweep_obs_s, 3) if sweep_obs_s else 0.0,
-            "screen_speedup": round(
-                sweep_sim_s / analytic_suite_s,
-                3) if analytic_suite_s else 0.0,
         },
         "env": {
             "python": platform.python_version(),

@@ -15,12 +15,11 @@ docs/harness.md and examples/parallel_sweep.py.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 from ..config import SimConfig
 from ..workloads import DEFAULT_SEED
-from .engine import Job, ScreeningEngine, get_engine
+from .engine import Job, get_engine
 from .runner import config_for_mode, geomean
 
 #: A knob maps (config, sweep value) to a *new* SimConfig — knobs never
@@ -70,115 +69,6 @@ def geomean_speedups(results: Dict,
     return out
 
 
-# ------------------------------------------------------- screened sweeps
-@dataclass
-class ScreenReport:
-    """Outcome of one :func:`screened_sweep`.
-
-    ``results`` holds full :class:`~repro.stats.SimResult` grids (the
-    same shape :func:`sweep` returns) for the *promoted* values only;
-    ``scores`` has the analytic geomean-IPC score for every value, so
-    callers can see exactly why a point was pruned.  ``recall`` is
-    populated only when the sweep ran with ``measure_recall=True``: 1.0
-    means the full-simulation best value was inside the promoted set.
-    """
-
-    scores: Dict = field(default_factory=dict)
-    promoted: List = field(default_factory=list)
-    pruned: List = field(default_factory=list)
-    results: Dict = field(default_factory=dict)
-    true_best: object = None
-    recall: Optional[float] = None
-
-    def best_promoted(self):
-        """The promoted value with the best *simulated* metric."""
-        return max(self.results,
-                   key=lambda value: _sim_score(self.results[value]))
-
-    def to_dict(self) -> dict:
-        payload = {
-            "scores": {repr(value): score
-                       for value, score in self.scores.items()},
-            "promoted": [repr(value) for value in self.promoted],
-            "pruned": [repr(value) for value in self.pruned],
-        }
-        if self.recall is not None:
-            payload["recall"] = self.recall
-            payload["true_best"] = repr(self.true_best)
-        return payload
-
-
-def _sim_score(by_mode: Dict) -> float:
-    """Full-simulation ranking metric for one sweep value: geomean IPC
-    over every (mode, benchmark) cell.  Mirrors the analytic score so
-    the two tiers rank on the same quantity."""
-    return geomean(result.ipc
-                   for by_name in by_mode.values()
-                   for result in by_name.values())
-
-
-def screened_sweep(knob: Knob, values: Sequence, names: Sequence[str],
-                   modes: Sequence[str] = ("baseline", "cdf", "pre"),
-                   scale: float = 0.5, seed: int = DEFAULT_SEED,
-                   top_k: int = 3, epsilon: float = 0.05,
-                   engine=None, screening: Optional[ScreeningEngine] = None,
-                   measure_recall: bool = False) -> ScreenReport:
-    """Two-tier sweep: score every value analytically, simulate the best.
-
-    Every (value, mode, benchmark) point is first scored by the
-    analytic fast tier (milliseconds per point); values are ranked by
-    the geomean of predicted IPC and the top ``top_k`` — plus any value
-    scoring within ``epsilon`` (fractional) of the best — are promoted
-    to a full cycle-accurate :func:`sweep`.  With five values and the
-    defaults, a screened sweep simulates at most 3/5 of the grid while
-    the committed recall tests assert the true optimum survives
-    screening.
-
-    ``measure_recall=True`` additionally runs the *full* grid (the
-    pruned values too) and records whether the cycle-accurate best value
-    was promoted — the property the screening tier exists to preserve.
-    """
-    if screening is None:
-        screening = ScreeningEngine(full_engine=engine or get_engine())
-    values = list(values)
-    if top_k <= 0:
-        raise ValueError(f"top_k must be positive, got {top_k}")
-
-    scores: Dict = {}
-    for value in values:
-        predicted = []
-        for mode in modes:
-            for name in names:
-                config = knob(config_for_mode(mode), value)
-                job = Job(name, mode, scale=scale, seed=seed,
-                          config=config)
-                predicted.append(screening.predict(job).ipc)
-        scores[value] = geomean(predicted)
-
-    best_score = max(scores.values())
-    ranked = sorted(values, key=lambda value: scores[value], reverse=True)
-    keep = set(ranked[:top_k])
-    keep.update(value for value in values
-                if scores[value] >= best_score * (1.0 - epsilon))
-    promoted = [value for value in values if value in keep]
-    pruned = [value for value in values if value not in keep]
-    screening.counters.bump("screen_configs_promoted", len(promoted))
-    screening.counters.bump("screen_configs_pruned", len(pruned))
-
-    report = ScreenReport(scores=scores, promoted=promoted, pruned=pruned)
-    report.results = sweep(knob, promoted, names, modes, scale=scale,
-                           seed=seed, engine=screening.full)
-    if measure_recall:
-        full = dict(report.results)
-        if pruned:
-            full.update(sweep(knob, pruned, names, modes, scale=scale,
-                              seed=seed, engine=screening.full))
-        report.true_best = max(
-            values, key=lambda value: _sim_score(full[value]))
-        report.recall = 1.0 if report.true_best in keep else 0.0
-    return report
-
-
 # ------------------------------------------------------------ common knobs
 def memory_speed_knob(config: SimConfig, factor: float) -> SimConfig:
     """Scale main-memory latency: factor 1.0 is DDR4-2400; 0.5 halves
@@ -214,42 +104,17 @@ KNOBS: Dict[str, Knob] = {
     "llc_size": llc_size_knob,
 }
 
-#: Pinned QUICK screening sweeps: (knob name, values) grids small enough
-#: for CI, one per knob family.  The screening recall property — the
-#: cycle-accurate best value always survives promotion — is asserted
-#: over exactly these grids (tests/harness/test_screening.py and the
-#: ``screen-smoke`` CI job), so the values are part of the contract: do
-#: not casually edit.
-QUICK_SCREEN_SWEEPS: Dict[str, Sequence] = {
+#: Default ``repro-sim sweep`` grid per knob: five values spanning each
+#: knob's range, small enough for a CI-sized run.
+DEFAULT_VALUES: Dict[str, Sequence] = {
     "memory_speed": (0.5, 0.75, 1.0, 1.5, 2.0),
     "mshrs": (1, 2, 4, 8, 16),
     "llc_size": (128 * 1024, 256 * 1024, 512 * 1024,
                  1024 * 1024, 4096 * 1024),
 }
 
-#: Benchmarks/modes/scale for the pinned QUICK screening sweeps: three
-#: kernels spanning the bottleneck space (latency-bound pointer chasing,
-#: dependent chains, prefetch-friendly streaming) at a scale small
-#: enough that the full 5-value grid stays CI-sized even when
-#: ``measure_recall`` simulates the pruned points too.
-QUICK_SCREEN_NAMES = ("astar", "mcf", "lbm")
-QUICK_SCREEN_MODES = ("baseline", "cdf")
-QUICK_SCREEN_SCALE = 0.15
-
-
-def quick_screened_sweep(knob_name: str, top_k: int = 3,
-                         epsilon: float = 0.05, engine=None,
-                         screening: Optional[ScreeningEngine] = None,
-                         measure_recall: bool = False) -> ScreenReport:
-    """Run one pinned QUICK screening sweep by knob name."""
-    try:
-        values = QUICK_SCREEN_SWEEPS[knob_name]
-    except KeyError:
-        raise ValueError(
-            f"unknown quick sweep {knob_name!r}; "
-            f"known: {sorted(QUICK_SCREEN_SWEEPS)}") from None
-    return screened_sweep(
-        KNOBS[knob_name], values, QUICK_SCREEN_NAMES,
-        modes=QUICK_SCREEN_MODES, scale=QUICK_SCREEN_SCALE,
-        top_k=top_k, epsilon=epsilon, engine=engine,
-        screening=screening, measure_recall=measure_recall)
+#: Default kernels and modes at each sweep point: three kernels spanning
+#: the bottleneck space (latency-bound pointer chasing, dependent
+#: chains, prefetch-friendly streaming), and CDF against its baseline.
+DEFAULT_NAMES = ("astar", "mcf", "lbm")
+DEFAULT_MODES = ("baseline", "cdf")

@@ -131,12 +131,6 @@ COUNTERS: Dict[str, str] = {
     "obs_samples": "occupancy-gauge samples taken (obs_level >= 1)",
     "obs_mem_events": "memory-request events recorded (obs_level >= 2)",
     "obs_uop_events": "uop lifecycle events recorded (obs_level >= 2)",
-    # ------------------------------------------------ analytic screening
-    # (repro.harness.engine.ScreeningEngine / repro.harness.sweep)
-    "screen_profiles_built": "trace profiles built for analytic scoring",
-    "screen_configs_scored": "configs scored by the analytic model",
-    "screen_configs_promoted": "screened points promoted to full sim",
-    "screen_configs_pruned": "screened points dropped without simulating",
 }
 
 #: Dynamic counter families: ``{}``-template (what the static checker

@@ -236,17 +236,35 @@ def test_sweep_subcommand_plain(capsys):
     assert "cdf" in out
 
 
-def test_sweep_subcommand_screened(capsys, tmp_path):
-    out_path = tmp_path / "screen.json"
-    code, out = run_cli(capsys, "sweep", "--knob", "mshrs", "--screen",
-                        "--values", "1", "2", "4", "8", "16",
-                        "--benchmarks", "bzip", "--modes", "baseline",
-                        "--scale", "0.1", "--top-k", "2",
-                        "--epsilon", "0.0", "--measure-recall",
-                        "--out", str(out_path))
-    assert "screened sweep: mshrs" in out
-    assert "recall:" in out
-    import json
-    payload = json.loads(out_path.read_text())
-    assert set(payload) >= {"scores", "promoted", "pruned", "recall"}
-    assert code == (0 if payload["recall"] == 1.0 else 1)
+@pytest.mark.parametrize("argv, named", [
+    (["--knob", "mshrs", "--modes", "cdf"], "--modes cdf:"),
+    (["--knob", "mshrs", "--modes", "baseline"], "--modes baseline:"),
+    (["--knob", "mshrs", "--values", "0"], "value 0:"),
+    (["--knob", "llc_size", "--values", "100000"], "value 100000:"),
+    (["--knob", "llc_size", "--values", "1.5e6"], "value 1500000.0:"),
+    (["--knob", "memory_speed", "--values", "inf"], "value inf:"),
+], ids=["no-baseline", "only-baseline", "mshrs-zero", "llc-sets-not-pow2",
+        "llc-float", "memory-speed-inf"])
+def test_sweep_rejects_bad_input_before_any_job(capsys, monkeypatch,
+                                                argv, named):
+    from repro.harness.engine import Engine
+
+    def no_jobs(self, jobs):
+        raise AssertionError("a job ran before the input was checked")
+
+    monkeypatch.setattr(Engine, "run", no_jobs)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", *argv])
+    assert exit_info.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_sweep_default_scale_engages_cdf():
+    """The default scale must train CDF enough to enter CDF mode; at
+    0.15 it never did, and every sweep point read 1.000x."""
+    from repro.harness import run_benchmark
+    scale = build_parser().parse_args(["sweep", "--knob", "mshrs"]).scale
+    cdf = run_benchmark("mcf", "cdf", scale=scale)
+    baseline = run_benchmark("mcf", "baseline", scale=scale)
+    assert cdf.counters["cdf_mode_cycles"] > 0
+    assert cdf.cycles != baseline.cycles

@@ -163,6 +163,19 @@ def test_claim_without_a_finite_value_raises(monkeypatch, bad):
         run_claim(get_spec("table1-area"), "quick")
 
 
+def test_zero_kernel_ratio_raises_instead_of_a_verdict(monkeypatch):
+    """A zero-IPC baseline makes one kernel's speedup 0.0; its geomean
+    has no value, so the claim fails rather than reading -100%."""
+    from repro.harness import runner
+    monkeypatch.setattr(experiments, "get_comparison",
+                        lambda *args, **kwargs: {})
+    monkeypatch.setattr(runner, "speedups",
+                        lambda results, mode: {"astar": 0.0, "mcf": 1.2})
+    with pytest.raises(ClaimValueError,
+                       match=r"fig13-cdf-uplift \[quick\]"):
+        run_claim(get_spec("fig13-cdf-uplift"), "quick")
+
+
 def test_run_figures_never_skips_planned_claims():
     results = run_figures("quick",
                           fig_ids=["table1-area", "cgooo-energy"])
