@@ -12,8 +12,9 @@ Run:  python examples/branch_criticality.py [scale]
 import sys
 
 from repro.config import SimConfig
-from repro.harness import geomean, run_benchmark
+from repro.harness import run_benchmark
 from repro.harness.tables import percent, render_table
+from repro.stats.metrics import geomean
 from repro.workloads import BRANCH_SENSITIVE
 
 

@@ -2,7 +2,7 @@
 """An engine-backed sensitivity sweep: MSHRs x modes, in parallel.
 
 The serial cousin of this script is examples/scaling_study.py, which
-drives the Fig. 17 study through the figure driver. This one goes one
+drives the Fig. 17 study through its study function. This one goes one
 layer down and uses the experiment engine directly: it expands an
 MSHR-scaling sweep into a flat job list, fans it out across worker
 processes, and memoizes every point in the persistent result cache —
@@ -19,8 +19,9 @@ See docs/harness.md for the job model and cache-key anatomy.
 import os
 import sys
 
-from repro.harness import Engine, Job, config_for_mode, geomean
+from repro.harness import Engine, Job, config_for_mode
 from repro.harness.sweep import mshr_knob
+from repro.stats.metrics import geomean
 
 BENCHMARKS = ("milc", "mcf", "astar")
 MSHR_COUNTS = (4, 8, 16, 32)

@@ -14,7 +14,7 @@ import sys
 
 from repro.energy import EnergyModel
 from repro.config import SimConfig
-from repro.harness import fig17_scaling, format_fig17
+from repro.harness import fig17_scaling, render_table
 
 
 def main() -> None:
@@ -28,7 +28,15 @@ def main() -> None:
     print(f"Sweeping ROB sizes {rob_sizes} x {{baseline, CDF}} over "
           f"{subset} ...\n")
     data = fig17_scaling(rob_sizes=rob_sizes, names=subset, scale=scale)
-    print(format_fig17(data))
+    ipc, energy = data["ipc"], data["energy"]
+    rows = [(rob, *(f"{table[(rob, mode)] / table[(352, 'baseline')]:.3f}"
+                    for table in (ipc, energy)
+                    for mode in ("baseline", "cdf")))
+            for rob in rob_sizes]
+    print(render_table(
+        "Fig. 17 — scaling with ROB size (geomean, normalised to the "
+        "352-entry baseline)",
+        ("ROB", "base IPC", "CDF IPC", "base energy", "CDF energy"), rows))
 
     model = EnergyModel(SimConfig.with_cdf())
     overhead = model.cdf_area_overhead()

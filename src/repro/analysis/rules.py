@@ -231,7 +231,6 @@ class WallClockRule(Rule):
         "repro.harness.engine",
         "repro.harness.figures",
         "repro.harness.perfbench",
-        "repro.harness.report",
         # per-rule lint timings are telemetry printed in the report,
         # never simulated state
         "repro.analysis.runner",

@@ -5,11 +5,10 @@ Installed as ``repro-sim`` (or ``python -m repro``):
     repro-sim list
     repro-sim run astar --mode cdf --scale 0.5
     repro-sim compare astar mcf --scale 0.5
-    repro-sim figure fig13 --scale 0.6 --jobs 4
     repro-sim figures --quick --check-baseline
+    repro-sim figures --full --check-baseline --jobs 2
     repro-sim figures --full --fig fig13-cdf-uplift
     repro-sim figures --quick --out dashboard/
-    repro-sim report --scale 0.6 --output report.md
     repro-sim report --benchmark astar --mode cdf --output astar.md
     repro-sim trace --benchmark astar --mode cdf --out trace.json
     repro-sim cache stats
@@ -39,57 +38,14 @@ from .config import SimConfig
 from .harness import (
     Job,
     ResultCache,
+    config_for_mode,
     configure,
     get_engine,
-)
-from .harness import (
-    ablation_critical_branches,
-    build_report,
-    ablation_partitioning,
-    ablation_thresholds,
-    config_for_mode,
-    fig01_rob_distribution,
-    fig13_speedup,
-    fig14_mlp,
-    fig15_traffic,
-    fig16_energy,
-    fig17_scaling,
-    format_ablation_branches,
-    format_ablation_partitioning,
-    format_ablation_thresholds,
-    format_fig01,
-    format_fig13,
-    format_fig14,
-    format_fig15,
-    format_fig16,
-    format_fig17,
     load_workload,
-    table1_text,
 )
 from .harness.figures import QUICK_SCALE
 from .harness.tables import render_table
 from .workloads import DEFAULT_SEED, SUITE, suite_names
-
-#: figure name -> (driver, formatter, needs_scale)
-FIGURES = {
-    "table1": (lambda **kw: table1_text(), lambda text: text),
-    "fig1": (fig01_rob_distribution, format_fig01),
-    "fig13": (fig13_speedup, format_fig13),
-    "fig14": (fig14_mlp, format_fig14),
-    "fig15": (fig15_traffic, format_fig15),
-    "fig16": (fig16_energy, format_fig16),
-    "fig17": (fig17_scaling, format_fig17),
-    "ablation-branches": (ablation_critical_branches,
-                          format_ablation_branches),
-    "ablation-partitioning": (
-        lambda **kw: ablation_partitioning(
-            names=("astar", "milc", "bzip", "nab", "mcf", "lbm"), **kw),
-        format_ablation_partitioning),
-    "ablation-thresholds": (
-        lambda **kw: ablation_thresholds(
-            names=("astar", "milc", "nab", "bzip", "soplex", "lbm"), **kw),
-        format_ablation_thresholds),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--scale", type=float, default=0.5)
     compare.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    figure = sub.add_parser("figure", help="regenerate a paper figure",
-                            parents=[engine_opts])
-    figure.add_argument("name", choices=sorted(FIGURES))
-    figure.add_argument("--scale", type=float, default=0.5)
-
     figures = sub.add_parser(
         "figures",
         help="run the paper-parity claim registry: every headline "
@@ -146,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI profile: 6-kernel subset at scale 0.3 (default)")
     profile.add_argument(
         "--full", action="store_true",
-        help="paper-faithful profile: 18 kernels at scale 1.0")
+        help="paper-faithful profile at scale 1.0, including the "
+             "FULL-only claims")
     figures.add_argument(
         "--fig", action="append", default=None, metavar="ID",
         help="run one claim (repeatable); see --list for ids")
@@ -157,18 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="DIR",
         help="write the HTML dashboard into DIR")
     figures.add_argument(
-        "--serve", action="store_true",
-        help="serve the dashboard over HTTP instead of writing it")
-    figures.add_argument("--port", type=int, default=8437,
-                         help="port for --serve (default 8437)")
-    figures.add_argument(
         "--baseline", default=None, metavar="PATH",
         help="pinned-values JSON (default "
-             "benchmarks/figures_baseline.json)")
+             "benchmarks/figures_baseline.json, or "
+             "benchmarks/figures_baseline_full.json with --full)")
     figures.add_argument(
         "--check-baseline", action="store_true",
         help="diff values/verdicts against the pinned baseline; any "
-             "drift exits nonzero (quick profile only)")
+             "drift exits nonzero")
     figures.add_argument(
         "--write-baseline", action="store_true",
         help="re-pin the baseline from this run's values")
@@ -185,33 +133,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="regenerate the full evaluation as Markdown, or (with "
-             "--benchmark) render a single-run telemetry report",
+        help="render a single-run telemetry report (sparklines, stall "
+             "anatomy, memory-latency attribution); see "
+             "docs/observability.md",
         parents=[engine_opts])
+    report.add_argument("--benchmark", choices=suite_names(),
+                        required=True)
     report.add_argument("--scale", type=float, default=0.5)
     report.add_argument("--output", default=None,
                         help="write to a file instead of stdout")
-    report.add_argument("--only", nargs="*", default=None,
-                        help="limit to figure keys (fig13, fig17, ...)")
-    report.add_argument(
-        "--benchmark", choices=suite_names(), default=None,
-        help="render a single-run obs report (sparklines, stall "
-             "anatomy, memory-latency attribution) instead of the "
-             "full evaluation; see docs/observability.md")
     report.add_argument("--mode", choices=("baseline", "cdf", "pre"),
-                        default="cdf",
-                        help="core for --benchmark (default cdf)")
+                        default="cdf", help="core to run (default cdf)")
     report.add_argument("--seed", type=int, default=DEFAULT_SEED)
     report.add_argument(
         "--obs-level", type=int, choices=(1, 2), default=2,
-        help="telemetry level for --benchmark (default 2: includes "
-             "per-uop lifecycle events for the fetch-ahead histogram)")
+        help="telemetry level (default 2: includes per-uop lifecycle "
+             "events for the fetch-ahead histogram)")
     report.add_argument(
         "--no-baseline", action="store_true",
-        help="with --benchmark: skip the baseline comparison run")
+        help="skip the baseline comparison run")
     report.add_argument(
         "--html", action="store_true",
-        help="with --benchmark: emit a self-contained HTML page")
+        help="emit a self-contained HTML page")
 
     trace = sub.add_parser(
         "trace",
@@ -396,16 +339,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_figure(args) -> int:
-    driver, formatter = FIGURES[args.name]
-    if args.name == "table1":
-        print(formatter(driver()))
-        return 0
-    data = driver(scale=args.scale)
-    print(formatter(data))
-    return 0
-
-
 def cmd_figures(args) -> int:
     from .harness import figures as figmod
 
@@ -419,7 +352,14 @@ def cmd_figures(args) -> int:
         return 0
 
     mode = "full" if args.full else "quick"
-    baseline_path = args.baseline or figmod.DEFAULT_BASELINE
+    baseline_path = args.baseline or figmod.default_baseline(mode)
+    full_only = figmod.full_only_ids()
+    if mode == "quick" and args.fig:
+        asked = [fig_id for fig_id in args.fig if fig_id in full_only]
+        if asked:
+            print(f"{', '.join(asked)}: FULL-only claim(s) with no quick "
+                  "profile; run with --full", file=sys.stderr)
+            return 2
 
     def progress(line):
         print(f"... {line}", file=sys.stderr)
@@ -427,6 +367,9 @@ def cmd_figures(args) -> int:
     results = figmod.run_figures(mode, fig_ids=args.fig,
                                  seed=args.seed, progress=progress)
     print(figmod.format_figures(results, mode))
+    if mode == "quick" and not args.fig and full_only:
+        print(f"... {len(full_only)} FULL-only claims not run (see "
+              "--list; run them with --full)", file=sys.stderr)
     record = figmod.bench_record(results, mode, seed=args.seed)
 
     partial = bool(args.fig)
@@ -436,25 +379,17 @@ def cmd_figures(args) -> int:
         print(f"run appended to {figmod.DEFAULT_BENCH_REPORT} "
               f"({len(history)} records)")
 
-    if args.out or args.serve:
-        from .harness.figdash import (
-            render_dashboard,
-            serve_dashboard,
-            write_dashboard,
-        )
-        if args.out:
-            path = write_dashboard(results, args.out, history=history,
-                                   mode=mode)
-            print(f"dashboard written to {path}")
-        if args.serve:
-            serve_dashboard(render_dashboard(results, history=history,
-                                             mode=mode), port=args.port)
+    if args.out:
+        from .harness.figdash import write_dashboard
+        path = write_dashboard(results, args.out, history=history,
+                               mode=mode)
+        print(f"dashboard written to {path}")
 
     failures = 0
     if args.write_baseline:
-        if partial or mode != "quick":
-            print("--write-baseline needs a full-registry --quick run "
-                  "(pinned values cover every claim)", file=sys.stderr)
+        if partial:
+            print("--write-baseline needs a whole-registry run (pinned "
+                  "values cover every claim)", file=sys.stderr)
             return 2
         figmod.write_baseline(record, baseline_path)
         print(f"baseline pinned to {baseline_path}")
@@ -487,24 +422,6 @@ def cmd_figures(args) -> int:
 
 
 def cmd_report(args) -> int:
-    def progress(title):
-        print(f"... {title}", file=sys.stderr)
-
-    if args.benchmark:
-        text = _single_run_report(args, progress)
-    else:
-        text = build_report(scale=args.scale, only=args.only,
-                            progress=progress)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-        print(f"report written to {args.output}")
-    else:
-        print(text)
-    return 0
-
-
-def _single_run_report(args, progress) -> str:
     """Render a one-run telemetry report (``report --benchmark X``).
 
     Runs bypass the engine/result cache: an obs run must actually
@@ -514,20 +431,27 @@ def _single_run_report(args, progress) -> str:
     from .harness import run_benchmark
     from .obs import render_run_report
 
-    progress(f"{args.benchmark} [{args.mode}] scale={args.scale} "
-             f"obs_level={args.obs_level}")
+    print(f"... {args.benchmark} [{args.mode}] scale={args.scale} "
+          f"obs_level={args.obs_level}", file=sys.stderr)
     result = run_benchmark(args.benchmark, args.mode, scale=args.scale,
                            seed=args.seed, obs_level=args.obs_level)
     baseline = None
     if args.mode != "baseline" and not args.no_baseline:
-        progress(f"{args.benchmark} [baseline] scale={args.scale} "
-                 "(comparison run)")
+        print(f"... {args.benchmark} [baseline] scale={args.scale} "
+              "(comparison run)", file=sys.stderr)
         baseline = run_benchmark(args.benchmark, "baseline",
                                  scale=args.scale, seed=args.seed)
-    return render_run_report(
+    text = render_run_report(
         result, baseline=baseline, fmt="html" if args.html else "md",
         provenance=_provenance(args.benchmark, args.mode, args.scale,
                                args.seed, obs_level=args.obs_level))
+    if args.output:
+        with open(args.output, "w") as handle:
+            handle.write(text + "\n")
+        print(f"report written to {args.output}")
+    else:
+        print(text)
+    return 0
 
 
 def _provenance(benchmark: str, mode: str, scale: float,
@@ -793,7 +717,7 @@ def cmd_verify(args) -> int:
 
 
 #: Subcommands that simulate (and therefore configure/report the engine).
-_SIMULATING = ("run", "compare", "figure", "figures", "report", "sweep")
+_SIMULATING = ("run", "compare", "figures", "report", "sweep")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -819,7 +743,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "list": cmd_list,
         "run": cmd_run,
         "compare": cmd_compare,
-        "figure": cmd_figure,
         "figures": cmd_figures,
         "disasm": cmd_disasm,
         "report": cmd_report,

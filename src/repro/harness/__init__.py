@@ -1,10 +1,10 @@
 """Experiment harness: runners, the parallel experiment engine, sweeps,
-and figure drivers. See docs/harness.md for the engine guide."""
+and the paper-parity claim registry with its studies. See
+docs/harness.md for the engine guide."""
 
 from .runner import (
     MODES,
     config_for_mode,
-    geomean,
     load_workload,
     make_pipeline,
     rob_stall_profile,
@@ -16,7 +16,6 @@ from .runner import (
 __all__ = [
     "MODES",
     "config_for_mode",
-    "geomean",
     "load_workload",
     "make_pipeline",
     "rob_stall_profile",
@@ -84,52 +83,17 @@ __all__ += [
 ]
 
 from .experiments import (  # noqa: E402
-    ablation_critical_branches,
-    ablation_partitioning,
-    ablation_thresholds,
     fig01_rob_distribution,
-    fig13_speedup,
-    fig14_mlp,
-    fig15_traffic,
-    fig16_energy,
     fig17_scaling,
-    format_ablation_branches,
-    format_ablation_partitioning,
-    format_ablation_thresholds,
-    format_fig01,
-    format_fig13,
-    format_fig14,
-    format_fig15,
-    format_fig16,
-    format_fig17,
     get_comparison,
-    table1_text,
 )
-from .tables import percent, ratio, render_table  # noqa: E402
+from .tables import percent, render_table  # noqa: E402
 
 __all__ += [
-    "ablation_critical_branches",
-    "ablation_partitioning",
-    "ablation_thresholds",
     "fig01_rob_distribution",
-    "fig13_speedup",
-    "fig14_mlp",
-    "fig15_traffic",
-    "fig16_energy",
     "fig17_scaling",
-    "format_ablation_branches",
-    "format_ablation_partitioning",
-    "format_ablation_thresholds",
-    "format_fig01",
-    "format_fig13",
-    "format_fig14",
-    "format_fig15",
-    "format_fig16",
-    "format_fig17",
     "get_comparison",
-    "table1_text",
     "percent",
-    "ratio",
     "render_table",
 ]
 
@@ -148,10 +112,6 @@ __all__ += [
     "mshr_knob",
     "sweep",
 ]
-
-from .report import build_report  # noqa: E402
-
-__all__ += ["build_report"]
 
 from .figures import (  # noqa: E402
     REGISTRY,

@@ -4,9 +4,10 @@ Documentation rots in three specific ways this repo has already been
 bitten by, and this module checks all three mechanically:
 
 **internal links**
-    Every relative markdown link in ``README.md`` and ``docs/*.md``
-    must point at a file that exists, and every ``#anchor`` fragment at
-    a heading that exists in the target (GitHub's slug rules).
+    Every relative markdown link in ``README.md``, ``EXPERIMENTS.md``,
+    ``DESIGN.md`` and ``docs/*.md`` must point at a file that exists,
+    and every ``#anchor`` fragment at a heading that exists in the
+    target (GitHub's slug rules).
 
 **CLI examples**
     Every ``repro-sim ...`` command — fenced blocks and inline code
@@ -40,7 +41,7 @@ __all__ = ["check_docs", "check_file", "cli_surface", "heading_anchors",
            "main"]
 
 #: What gets checked when no paths are given (relative to repo root).
-DEFAULT_ROOTS = ("README.md", "docs")
+DEFAULT_ROOTS = ("README.md", "EXPERIMENTS.md", "DESIGN.md", "docs")
 
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")

@@ -40,7 +40,7 @@ parallel. This module is the single execution layer those drivers share:
 
 * **Observability** — :class:`EngineStats` counts jobs, cache hits,
   executions, and wall/sim time; ``Engine.summary()`` renders the line
-  the CLI prints to stderr after ``repro-sim figure``/``report`` runs.
+  the CLI prints to stderr after every simulating command.
   Telemetry payloads compose with the cache for free: a job whose
   config sets ``obs_level > 0`` carries its collected payload on
   ``SimResult.obs`` through the JSON round-trip, and because the cache

@@ -1,45 +1,49 @@
-"""Per-figure experiment drivers.
+"""Experiment drivers behind the paper-parity claims.
 
-Each ``fig*``/``ablation*`` function regenerates one table or figure of
+Each ``fig*``/``ablation_*``/``extension_*`` function runs one study of
 the paper's evaluation (see DESIGN.md Sec. 3) and returns a plain dict of
-results; the matching ``format_*`` helper renders it the way the paper
-reports it. The full-suite comparison runs are cached per (scale, seed)
-so the Fig. 13-16 drivers share one set of simulations.
+results; the claim registry (:mod:`repro.harness.figures`) reduces those
+dicts to the scalars it checks. The full-suite comparison runs are
+cached per (names, scale, seed) so the Fig. 13-16 claims share one set
+of simulations.
 
-Every driver expands its work into engine jobs
-(:mod:`repro.harness.engine`), so figures parallelize across
+Every run that is a plain suite job goes through the engine
+(:mod:`repro.harness.engine`), so studies parallelize across
 ``REPRO_JOBS`` worker processes and completed points are memoized in the
-persistent result cache — a warm-cache ``repro-sim figure fig13`` rerun
-executes zero simulations.
+persistent result cache — a warm-cache ``repro-sim figures --full``
+rerun simulates only the runs that are not suite jobs: hinted CDF, the
+FDIV-chain kernel and the phased programs. Those studies are memoized
+in-process instead, so claims that share one run it once.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..config import SimConfig
-from ..energy import EnergyModel
+from ..stats.metrics import geomean
 from ..workloads import DEFAULT_SEED, suite_names
 from .engine import Job, get_engine
 from .runner import (
     config_for_mode,
-    geomean,
+    load_workload,
+    make_pipeline,
     run_comparison,
     speedups,
 )
-from .tables import percent, render_table
 
 _comparison_cache: Dict[Tuple, Dict] = {}
 
 
 def get_comparison(names: Optional[Sequence[str]] = None, scale: float = 1.0,
-                   seed: int = DEFAULT_SEED,
-                   modes: Sequence[str] = ("baseline", "cdf", "pre")):
-    """Cached full-suite comparison shared by the Fig. 13-16 drivers."""
+                   seed: int = DEFAULT_SEED):
+    """Cached three-core comparison shared by the Fig. 13-16 claims."""
     names = tuple(names or suite_names())
-    key = (names, scale, seed, tuple(modes))
+    key = (names, scale, seed)
     if key not in _comparison_cache:
-        _comparison_cache[key] = run_comparison(names, modes, scale, seed)
+        _comparison_cache[key] = run_comparison(names, scale=scale,
+                                                seed=seed)
     return _comparison_cache[key]
 
 
@@ -58,125 +62,6 @@ def fig01_rob_distribution(names: Optional[Sequence[str]] = None,
             for name, profile in zip(names, profiles)}
 
 
-def format_fig01(fractions: Dict[str, float]) -> str:
-    rows = [(name, f"{100 * frac:.1f}%", f"{100 * (1 - frac):.1f}%")
-            for name, frac in fractions.items()]
-    with_stalls = [f for f in fractions.values() if f > 0]
-    mean = sum(with_stalls) / len(with_stalls) if with_stalls else 0.0
-    return render_table(
-        "Fig. 1 — ROB contents during full-window stalls (baseline)",
-        ("benchmark", "critical", "non-critical"), rows,
-        footer=("mean(stalling)", f"{100 * mean:.1f}%",
-                f"{100 * (1 - mean):.1f}%"))
-
-
-# ----------------------------------------------------------------- Fig. 13
-def fig13_speedup(names: Optional[Sequence[str]] = None, scale: float = 1.0,
-                  seed: int = DEFAULT_SEED) -> Dict[str, Dict[str, float]]:
-    """Percentage IPC improvement of CDF and PRE over the baseline."""
-    results = get_comparison(names, scale, seed)
-    return {
-        "cdf": speedups(results, "cdf"),
-        "pre": speedups(results, "pre"),
-        "geomean": {
-            "cdf": geomean(speedups(results, "cdf").values()),
-            "pre": geomean(speedups(results, "pre").values()),
-        },
-    }
-
-
-def format_fig13(data: Dict) -> str:
-    rows = [(name, percent(data["cdf"][name]), percent(data["pre"][name]))
-            for name in data["cdf"]]
-    footer = ("GEOMEAN", percent(data["geomean"]["cdf"]),
-              percent(data["geomean"]["pre"]))
-    return render_table(
-        "Fig. 13 — % IPC improvement over baseline (paper: CDF +6.1%, "
-        "PRE +2.6%)", ("benchmark", "CDF", "PRE"), rows, footer)
-
-
-# ----------------------------------------------------------------- Fig. 14
-def fig14_mlp(names: Optional[Sequence[str]] = None, scale: float = 1.0,
-              seed: int = DEFAULT_SEED) -> Dict[str, Dict[str, float]]:
-    """MLP relative to the baseline core."""
-    results = get_comparison(names, scale, seed)
-    out = {"cdf": {}, "pre": {}}
-    for name, by_mode in results.items():
-        base = by_mode["baseline"]
-        out["cdf"][name] = by_mode["cdf"].mlp_ratio(base)
-        out["pre"][name] = by_mode["pre"].mlp_ratio(base)
-    out["geomean"] = {
-        "cdf": geomean(out["cdf"].values()),
-        "pre": geomean(out["pre"].values()),
-    }
-    return out
-
-
-def format_fig14(data: Dict) -> str:
-    rows = [(name, f"{data['cdf'][name]:.2f}x", f"{data['pre'][name]:.2f}x")
-            for name in data["cdf"]]
-    footer = ("GEOMEAN", f"{data['geomean']['cdf']:.2f}x",
-              f"{data['geomean']['pre']:.2f}x")
-    return render_table(
-        "Fig. 14 — MLP relative to baseline (PRE's rise includes "
-        "wrong-chain loads that do not help performance)",
-        ("benchmark", "CDF", "PRE"), rows, footer)
-
-
-# ----------------------------------------------------------------- Fig. 15
-def fig15_traffic(names: Optional[Sequence[str]] = None, scale: float = 1.0,
-                  seed: int = DEFAULT_SEED) -> Dict[str, Dict[str, float]]:
-    """Total DRAM traffic relative to the baseline."""
-    results = get_comparison(names, scale, seed)
-    out = {"cdf": {}, "pre": {}}
-    for name, by_mode in results.items():
-        base = by_mode["baseline"]
-        out["cdf"][name] = by_mode["cdf"].traffic_ratio(base)
-        out["pre"][name] = by_mode["pre"].traffic_ratio(base)
-    out["geomean"] = {
-        "cdf": geomean(out["cdf"].values()),
-        "pre": geomean(out["pre"].values()),
-    }
-    return out
-
-
-def format_fig15(data: Dict) -> str:
-    rows = [(name, percent(data["cdf"][name]), percent(data["pre"][name]))
-            for name in data["cdf"]]
-    footer = ("GEOMEAN", percent(data["geomean"]["cdf"]),
-              percent(data["geomean"]["pre"]))
-    return render_table(
-        "Fig. 15 — memory traffic vs baseline (paper: CDF ~= baseline, "
-        "PRE ~4% above CDF)", ("benchmark", "CDF", "PRE"), rows, footer)
-
-
-# ----------------------------------------------------------------- Fig. 16
-def fig16_energy(names: Optional[Sequence[str]] = None, scale: float = 1.0,
-                 seed: int = DEFAULT_SEED) -> Dict[str, Dict[str, float]]:
-    """Energy relative to the baseline (paper: CDF -3.5%, PRE +3.7%)."""
-    results = get_comparison(names, scale, seed)
-    out = {"cdf": {}, "pre": {}}
-    for name, by_mode in results.items():
-        base = by_mode["baseline"]
-        out["cdf"][name] = by_mode["cdf"].energy_ratio(base)
-        out["pre"][name] = by_mode["pre"].energy_ratio(base)
-    out["geomean"] = {
-        "cdf": geomean(out["cdf"].values()),
-        "pre": geomean(out["pre"].values()),
-    }
-    return out
-
-
-def format_fig16(data: Dict) -> str:
-    rows = [(name, percent(data["cdf"][name]), percent(data["pre"][name]))
-            for name in data["cdf"]]
-    footer = ("GEOMEAN", percent(data["geomean"]["cdf"]),
-              percent(data["geomean"]["pre"]))
-    return render_table(
-        "Fig. 16 — energy vs baseline (paper: CDF -3.5%, PRE +3.7%)",
-        ("benchmark", "CDF", "PRE"), rows, footer)
-
-
 # ----------------------------------------------------------------- Fig. 17
 def fig17_scaling(rob_sizes: Sequence[int] = (192, 256, 352, 512),
                   names: Optional[Sequence[str]] = None, scale: float = 1.0,
@@ -193,7 +78,7 @@ def fig17_scaling(rob_sizes: Sequence[int] = (192, 256, 352, 512),
                 jobs.append(Job(name, mode, scale=scale, seed=seed,
                                 config=config))
     flat = get_engine().run(jobs)
-    data: Dict = {"rob_sizes": list(rob_sizes), "ipc": {}, "energy": {}}
+    data: Dict = {"ipc": {}, "energy": {}}
     index = 0
     for rob in rob_sizes:
         for mode in ("baseline", "cdf"):
@@ -204,24 +89,6 @@ def fig17_scaling(rob_sizes: Sequence[int] = (192, 256, 352, 512),
             data["energy"][(rob, mode)] = geomean(
                 [result.energy_nj for result in results])
     return data
-
-
-def format_fig17(data: Dict) -> str:
-    base_ipc = data["ipc"][(352, "baseline")]
-    base_energy = data["energy"][(352, "baseline")]
-    rows = []
-    for rob in data["rob_sizes"]:
-        rows.append((
-            str(rob),
-            f"{data['ipc'][(rob, 'baseline')] / base_ipc:.3f}",
-            f"{data['ipc'][(rob, 'cdf')] / base_ipc:.3f}",
-            f"{data['energy'][(rob, 'baseline')] / base_energy:.3f}",
-            f"{data['energy'][(rob, 'cdf')] / base_energy:.3f}",
-        ))
-    return render_table(
-        "Fig. 17 — scaling with ROB size (geomean, normalised to the "
-        "352-entry baseline)",
-        ("ROB", "base IPC", "CDF IPC", "base energy", "CDF energy"), rows)
 
 
 # --------------------------------------------------------------- ablations
@@ -253,124 +120,199 @@ def ablation_critical_branches(names: Optional[Sequence[str]] = None,
     }
 
 
-def format_ablation_branches(data: Dict) -> str:
-    rows = [(name, percent(data["with"][name]), percent(data["without"][name]))
-            for name in data["with"]]
-    footer = ("GEOMEAN", percent(data["geomean"]["with"]),
-              percent(data["geomean"]["without"]))
-    return render_table(
-        "Ablation — critical branches (paper: +6.1% -> +3.8% without)",
-        ("benchmark", "CDF", "CDF, no crit. branches"), rows, footer)
+def _against_default_cdf(names: Sequence[str], variant: SimConfig,
+                         labels: Tuple[str, str], scale: float,
+                         seed: int) -> Dict:
+    """Speedup over baseline of default CDF and of a *variant* CDF
+    config, per kernel and as geomeans, under the two *labels*."""
+    names = list(names)
+    jobs = []
+    for name in names:
+        jobs.append(Job(name, "baseline", scale=scale, seed=seed))
+        jobs.append(Job(name, "cdf", scale=scale, seed=seed))
+        jobs.append(Job(name, "cdf", scale=scale, seed=seed,
+                        config=variant))
+    flat = get_engine().run(jobs)
+    out: Dict[str, Dict[str, float]] = {label: {} for label in labels}
+    for position, name in enumerate(names):
+        base, default, changed = flat[3 * position:3 * position + 3]
+        out[labels[0]][name] = default.speedup_over(base)
+        out[labels[1]][name] = changed.speedup_over(base)
+    out["geomean"] = {label: geomean(out[label].values())
+                      for label in labels}
+    return out
 
 
 def ablation_partitioning(names: Sequence[str],
                           scale: float = 1.0,
                           seed: int = DEFAULT_SEED) -> Dict:
     """Sec. 3.5: dynamic vs static partitioning of the backend."""
-    names = list(names)
     static_config = config_for_mode("cdf")
     static_config.cdf.dynamic_partitioning = False
-    jobs = []
-    for name in names:
-        jobs.append(Job(name, "baseline", scale=scale, seed=seed))
-        jobs.append(Job(name, "cdf", scale=scale, seed=seed))
-        jobs.append(Job(name, "cdf", scale=scale, seed=seed,
-                        config=static_config))
-    flat = get_engine().run(jobs)
-    out: Dict[str, Dict[str, float]] = {"dynamic": {}, "static": {}}
-    for position, name in enumerate(names):
-        base, dynamic, static = flat[3 * position:3 * position + 3]
-        out["dynamic"][name] = dynamic.speedup_over(base)
-        out["static"][name] = static.speedup_over(base)
-    out["geomean"] = {
-        "dynamic": geomean(out["dynamic"].values()),
-        "static": geomean(out["static"].values()),
-    }
-    return out
-
-
-def format_ablation_partitioning(data: Dict) -> str:
-    rows = [(name, percent(data["dynamic"][name]),
-             percent(data["static"][name])) for name in data["dynamic"]]
-    footer = ("GEOMEAN", percent(data["geomean"]["dynamic"]),
-              percent(data["geomean"]["static"]))
-    return render_table(
-        "Ablation — dynamic vs static backend partitioning (Sec. 3.5)",
-        ("benchmark", "dynamic", "static"), rows, footer)
+    return _against_default_cdf(names, static_config,
+                                ("dynamic", "static"), scale, seed)
 
 
 def ablation_thresholds(names: Sequence[str], scale: float = 1.0,
                         seed: int = DEFAULT_SEED) -> Dict:
     """Sec. 3.2: strict-only vs adaptive strict/permissive selection."""
-    names = list(names)
     strict_config = config_for_mode("cdf")
     strict_config.cdf.low_coverage_fraction = 0.0   # never go permissive
+    return _against_default_cdf(names, strict_config,
+                                ("adaptive", "strict_only"), scale, seed)
+
+
+def ablation_nc_uop_cache(names: Sequence[str], scale: float = 1.0,
+                          seed: int = DEFAULT_SEED) -> Dict:
+    """Sec. 3.3: CDF with and without the rejected Non-Critical Uop
+    Cache, which gives the non-critical stream its own fetch bandwidth."""
+    boosted_config = config_for_mode("cdf")
+    boosted_config.cdf.non_critical_uop_cache = True
+    return _against_default_cdf(names, boosted_config,
+                                ("plain", "nc_cache"), scale, seed)
+
+
+def ablation_disambiguation(names: Sequence[str], scale: float = 1.0,
+                            seed: int = DEFAULT_SEED) -> Dict:
+    """Sec. 3.5 context: baseline and CDF under the oracle (default) and
+    the conservative memory-disambiguation policies; returns
+    ``{name: {(policy, mode): SimResult}}``."""
+    names = list(names)
+    points = [(policy, mode) for policy in ("oracle", "conservative")
+              for mode in ("baseline", "cdf")]
     jobs = []
     for name in names:
-        jobs.append(Job(name, "baseline", scale=scale, seed=seed))
-        jobs.append(Job(name, "cdf", scale=scale, seed=seed))
-        jobs.append(Job(name, "cdf", scale=scale, seed=seed,
-                        config=strict_config))
+        for policy, mode in points:
+            config = config_for_mode(mode)
+            config.core.memory_disambiguation = policy
+            jobs.append(Job(name, mode, scale=scale, seed=seed,
+                            config=config))
+    flat = iter(get_engine().run(jobs))
+    return {name: {point: next(flat) for point in points}
+            for name in names}
+
+
+# -------------------------------------------------------------- extensions
+@functools.lru_cache(maxsize=None)
+def extension_static_hints(names: Tuple[str, ...], scale: float = 1.0,
+                           seed: int = DEFAULT_SEED) -> Dict:
+    """Sec. 6 future work: CDF with profile-guided chain hints preloaded
+    into the critical uop cache, against hardware-trained CDF; returns
+    ``{name: {"baseline"|"cdf"|"hinted": SimResult}}``. The baseline
+    and plain CDF runs are engine jobs; the hinted run is not."""
+    from ..cdf import CDFPipeline, preload_hints, profile_chains
+    jobs = [Job(name, mode, scale=scale, seed=seed)
+            for name in names for mode in ("baseline", "cdf")]
     flat = get_engine().run(jobs)
-    out: Dict[str, Dict[str, float]] = {"adaptive": {}, "strict_only": {}}
+    out = {}
     for position, name in enumerate(names):
-        base, adaptive, strict = flat[3 * position:3 * position + 3]
-        out["adaptive"][name] = adaptive.speedup_over(base)
-        out["strict_only"][name] = strict.speedup_over(base)
-    out["geomean"] = {
-        "adaptive": geomean(out["adaptive"].values()),
-        "strict_only": geomean(out["strict_only"].values()),
-    }
+        workload = load_workload(name, scale, seed)
+        trace = workload.trace()
+        hints = profile_chains(workload.program, trace, profile_uops=9000)
+        config = config_for_mode("cdf")
+        config.stats_warmup_uops = workload.warmup_uops()
+        pipeline = CDFPipeline(trace, config, workload.program)
+        preload_hints(pipeline, hints)
+        base, plain = flat[2 * position:2 * position + 2]
+        out[name] = {"baseline": base, "cdf": plain,
+                     "hinted": pipeline.run()}
     return out
 
 
-def format_ablation_thresholds(data: Dict) -> str:
-    rows = [(name, percent(data["adaptive"][name]),
-             percent(data["strict_only"][name]))
-            for name in data["adaptive"]]
-    footer = ("GEOMEAN", percent(data["geomean"]["adaptive"]),
-              percent(data["geomean"]["strict_only"]))
-    return render_table(
-        "Ablation — adaptive strict/permissive CCT thresholds (Sec. 3.2)",
-        ("benchmark", "adaptive", "strict only"), rows, footer)
+def fdiv_chain_kernel(iters: int, chain_len: int = 12, noncrit: int = 30):
+    """Independent serial-FDIV chains inside a light loop body: a kernel
+    bound by long-latency arithmetic, with no cache misses at all."""
+    from ..isa import ProgramBuilder
+    b = ProgramBuilder()
+    b.movi(1, iters)
+    b.label("loop")
+    b.movi(4, 17)
+    for _ in range(chain_len):
+        b.fdiv(4, 4, imm=3)
+    b.fadd(5, 5, 4)
+    for i in range(noncrit):
+        b.movi(20 + i % 6, 7 + i)
+    b.sub(1, 1, imm=1)
+    b.bnez(1, "loop")
+    b.halt()
+    return b.build()
 
 
-# ------------------------------------------------------------------ Table 1
-def table1_text() -> str:
-    """Render the simulated configuration the way Table 1 lists it."""
-    cfg = SimConfig.baseline()
-    core = cfg.core
-    model = EnergyModel(config_for_mode("cdf"))
-    rows = [
-        ("Core", f"{core.freq_ghz} GHz, {core.issue_width}-wide issue, "
-                 "TAGE predictor"),
-        ("", f"{core.rob_size} Entry ROB, {core.rs_size} Entry "
-             "Reservation Station"),
-        ("", f"{core.lq_size} Entry Load & {core.sq_size} Entry Store "
-             "Queues"),
-        ("Caches", f"{cfg.l1i.size_bytes // 1024}KB {cfg.l1i.ways}-way L1 "
-                   f"I-cache & D-cache, {cfg.l1d.latency}-cycle access"),
-        ("", f"{cfg.llc.size_bytes // (1024 * 1024)}MB {cfg.llc.ways}-way "
-             f"LLC cache, {cfg.llc.latency}-cycle access, "
-             f"{cfg.llc.line_bytes}B lines"),
-        ("Prefetcher", f"Stream Prefetcher, {cfg.prefetcher.num_streams} "
-                       "Streams (always on),"),
-        ("", "Feedback Directed Prefetching to throttle prefetcher"),
-        ("Memory", f"DDR4_2400R: {cfg.dram.ranks} rank, "
-                   f"{cfg.dram.channels} channels"),
-        ("", f"{cfg.dram.bank_groups} bank groups and "
-             f"{cfg.dram.banks_per_group} banks per channel"),
-        ("", f"tRP-tCL-tRCD: {cfg.dram.trp}-{cfg.dram.tcl}-"
-             f"{cfg.dram.trcd}"),
-        ("CDF Caches", "64B 2-way Critical Count Tables, 1-cycle access"),
-        ("", "4KB 4-way Mask Cache, 1-cycle access"),
-        ("", "18KB 4-way Critical Uop Cache, 1-cycle access, "
-             "8 uops per entry"),
-        ("CDF FIFOs", "1024-entry Fill Buffer"),
-        ("", "256-entry Delayed Branch Queue"),
-        ("", "256-entry Critical Map Queue"),
-        ("CDF area", f"+{100 * model.cdf_area_overhead():.1f}% over the "
-                     "baseline core structures (paper: +3.2%)"),
-    ]
-    return render_table("Table 1 — simulation parameters",
-                        ("component", "value"), rows)
+@functools.lru_cache(maxsize=None)
+def extension_longlat(scale: float = 1.0) -> Dict:
+    """Sec. 6: criticality beyond loads. Runs the FDIV-chain kernel
+    (1000 iterations at scale 1.0, never fewer than 600) on the baseline
+    core, on CDF with load criticality only, and on CDF with long-latency
+    roots marked critical; returns ``{"baseline"|"loads_only"|
+    "longlat": SimResult}``."""
+    from ..cdf import CDFPipeline
+    from ..core import BaselinePipeline
+    from ..isa import execute
+    program = fdiv_chain_kernel(max(600, int(1000 * scale)))
+    trace = execute(program)
+    warmup = len(trace) // 3
+    configs = {"baseline": config_for_mode("baseline"),
+               "loads_only": config_for_mode("cdf"),
+               "longlat": config_for_mode("cdf")}
+    configs["longlat"].cdf.mark_longlat_critical = True
+    out = {}
+    for label, config in configs.items():
+        config.stats_warmup_uops = warmup
+        out[label] = (BaselinePipeline(trace, config) if label == "baseline"
+                      else CDFPipeline(trace, config, program)).run()
+    return out
+
+
+#: Main-memory timing factors the memory-speed claims read: 1.0 is
+#: DDR4-2400, 0.25 is four times faster.
+MEMORY_SPEED_FACTORS = (1.0, 0.25)
+
+
+def extension_memory_speed(names: Sequence[str], scale: float = 1.0,
+                           seed: int = DEFAULT_SEED) -> Dict:
+    """Sec. 2.4 (a): geomean CDF and PRE speedups at nominal and at
+    faster main memory; returns ``{factor: {mode: geomean speedup}}``."""
+    from .sweep import geomean_speedups, memory_speed_knob, sweep
+    return geomean_speedups(sweep(memory_speed_knob, MEMORY_SPEED_FACTORS,
+                                  names, scale=scale, seed=seed))
+
+
+#: L1D MSHR counts the MSHR-scaling claim reads.
+MSHR_COUNTS = (4, 16, 32)
+
+
+def extension_mshr_scaling(names: Sequence[str], scale: float = 1.0,
+                           seed: int = DEFAULT_SEED) -> Dict:
+    """The miss-buffer ceiling on window expansion: geomean CDF speedup
+    per L1D MSHR count; returns ``{count: {"cdf": geomean speedup}}``."""
+    from .sweep import geomean_speedups, mshr_knob, sweep
+    return geomean_speedups(sweep(mshr_knob, MSHR_COUNTS, names,
+                                  modes=("baseline", "cdf"), scale=scale,
+                                  seed=seed))
+
+
+@functools.lru_cache(maxsize=None)
+def extension_simpoints(scale: float = 1.0,
+                        seed: int = DEFAULT_SEED) -> Dict:
+    """Sec. 4.2 'Note on PRE Results': the memory phase alone (the
+    single-SimPoint pick), the compute phase alone and the whole
+    two-phase program, each under all three cores; returns
+    ``{"memory"|"compute"|"whole": {mode: SimResult}}``."""
+    from ..workloads.phased import (
+        build_phased,
+        build_phased_compute_only,
+        build_phased_memory_only,
+    )
+    out = {}
+    for label, build in (("memory", build_phased_memory_only),
+                         ("compute", build_phased_compute_only),
+                         ("whole", build_phased)):
+        workload = build(scale=scale, seed=seed)
+        trace = workload.trace()
+        out[label] = {}
+        for mode in ("baseline", "cdf", "pre"):
+            config = config_for_mode(mode)
+            config.stats_warmup_uops = workload.warmup_uops()
+            out[label][mode] = make_pipeline(mode, trace, config,
+                                             workload).run()
+    return out

@@ -1,8 +1,7 @@
 """Static HTML dashboard for the paper-parity figures pipeline.
 
 ``repro-sim figures --out DIR`` renders the claim table as a
-self-contained HTML page (no external assets, CI-artifact friendly);
-``--serve`` serves the same page from memory for local browsing.
+self-contained HTML page (no external assets, CI-artifact friendly).
 
 The page shows, per registered claim: the paper's number, the measured
 value, a colour-coded verdict badge, and — when ``BENCH_figures.json``
@@ -145,28 +144,3 @@ def write_dashboard(results: Sequence[ClaimResult], out_dir: str,
         handle.write(render_dashboard(results, history=history,
                                       mode=mode))
     return path
-
-
-def serve_dashboard(page: str, port: int = 8437) -> None:
-    """Serve a rendered dashboard page from memory (Ctrl-C to stop)."""
-    import http.server
-
-    payload = page.encode("utf-8")
-
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_GET(self):  # noqa: N802 (http.server API)
-            self.send_response(200)
-            self.send_header("Content-Type", "text/html; charset=utf-8")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def log_message(self, fmt, *args):
-            pass
-
-    with http.server.HTTPServer(("127.0.0.1", port), Handler) as server:
-        print(f"dashboard at http://127.0.0.1:{port}/ (Ctrl-C to stop)")
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass

@@ -7,9 +7,10 @@ per claim), plus the machinery to run them all with one command —
 per-claim verdict.
 
 Each spec names the paper figure/table it comes from, the claim in
-prose, the paper's number, a metric extractor over the existing figure
-drivers (:mod:`repro.harness.experiments`), and a tolerance band, in
-two execution profiles:
+prose, the paper's number, a metric extractor
+(:mod:`repro.harness.extractors`) over the studies in
+:mod:`repro.harness.experiments`, and a tolerance band, in up to two
+execution profiles:
 
 **QUICK**
     CI-sized: a 6-kernel subset at workload scale 0.3.  Every claim
@@ -20,8 +21,13 @@ two execution profiles:
     acknowledged with ``--write-baseline``.
 
 **FULL**
-    Paper-faithful: the whole 18-kernel suite at scale 1.0 (the
-    EXPERIMENTS.md configuration).  Minutes cold, seconds warm.
+    Paper-faithful: scale 1.0, on the whole 18-kernel suite or on the
+    kernel subset a study was designed around.  Every implemented claim
+    has a FULL profile.  The per-family, worst-kernel, ablation and
+    extension claims have only that one (``quick=None``: "FULL-only"
+    claims), and a whole-registry QUICK run leaves them out.  FULL
+    values are pinned in ``benchmarks/figures_baseline_full.json``.
+    Minutes cold, seconds warm.
 
 Verdicts:
 
@@ -60,9 +66,16 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..stats.metrics import MetricDomainError, geomean, mean, percent_delta
-from ..workloads import DEFAULT_SEED, suite_names
+from ..stats.metrics import MetricDomainError
+from ..workloads import (
+    BRANCH_SENSITIVE,
+    DEFAULT_SEED,
+    NEUTRAL,
+    PRE_FAVOURABLE,
+    suite_names,
+)
 from .engine import code_salt
+from .extractors import RUNNERS, Profile
 from .tables import render_table
 
 #: Stable schema version for BENCH_figures.json / figures_baseline.json
@@ -71,6 +84,8 @@ SCHEMA_VERSION = 1
 
 DEFAULT_BENCH_REPORT = "BENCH_figures.json"
 DEFAULT_BASELINE = os.path.join("benchmarks", "figures_baseline.json")
+DEFAULT_FULL_BASELINE = os.path.join("benchmarks",
+                                     "figures_baseline_full.json")
 DEFAULT_CLAIM_DOC = os.path.join("docs", "PAPER_VS_CODE.md")
 
 #: Cap on retained history records in BENCH_figures.json.
@@ -92,26 +107,38 @@ QUICK_SCALE = 0.3
 FULL_SCALE = 1.0
 
 #: Fig. 17's FULL profile runs a restricted kernel set (ROB sweeps
-#: multiply job count); same subset as the `repro-sim report` section.
+#: multiply job count): CDF winners, a stencil and a neutral kernel.
 FULL_SCALING_NAMES: Tuple[str, ...] = ("astar", "milc", "nab", "lbm",
                                        "zeusmp", "sphinx")
+#: Every ROB size the Fig. 17 claims read.
+FIG17_ROB_SIZES: Tuple[int, ...] = (192, 256, 352, 512)
 
-
-@dataclass(frozen=True)
-class Profile:
-    """One execution configuration of a claim's metric."""
-    names: Tuple[str, ...]
-    scale: float
-    rob_sizes: Tuple[int, ...] = ()
+#: Kernel subsets of the ablation and extension studies: each names the
+#: kernels where its mechanism has something to show.
+PARTITIONING_NAMES = ("astar", "milc", "bzip", "nab", "mcf", "lbm")
+THRESHOLD_NAMES = ("astar", "milc", "nab", "bzip", "soplex", "lbm")
+NC_CACHE_NAMES = ("astar", "milc", "bzip", "nab", "mcf", "soplex")
+#: Store-carrying kernels.
+DISAMBIGUATION_NAMES = ("libquantum", "lbm", "soplex", "bzip")
+HINT_NAMES = ("astar", "milc", "bzip", "nab")
+#: Kernels with stall windows long enough for PRE to exploit.
+MEMORY_SPEED_NAMES = ("astar", "milc", "zeusmp", "GemsFDTD")
+#: Sparse-chain kernels, where window expansion pays.
+MSHR_NAMES = ("astar", "milc")
 
 
 #: Analytic claims (Table 1 area) run no simulations at all.
 ANALYTIC = Profile(names=(), scale=0.0)
 
+#: FULL profile of the claims on synthetic programs that are not suite
+#: kernels (the FDIV-chain kernel, the phased SimPoint programs).
+SYNTHETIC = Profile(names=(), scale=FULL_SCALE)
+
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """One headline claim of the paper, declaratively.
+    """One claim of the paper — a headline number, an ablation or an
+    extension — declaratively.  ``quick=None`` makes it FULL-only.
 
     ``kind`` selects the verdict rule: ``"value"`` compares
     |measured - paper_value| against ``match_tol`` then ``tolerance``;
@@ -141,6 +168,12 @@ class FigureSpec:
         if self.status != "implemented":
             return "-"
         return f"repro-sim figures --full --fig {self.fig_id}"
+
+    @property
+    def full_only(self) -> bool:
+        """An implemented claim with no QUICK profile: a whole-registry
+        QUICK run leaves it out."""
+        return self.status == "implemented" and self.quick is None
 
     def profile(self, mode: str) -> Profile:
         if mode == "quick":
@@ -172,121 +205,9 @@ def format_value(unit: str, value: float) -> str:
         return f"{value:.3f}x"
     if unit == "% of ROB":
         return f"{value:.1f}%"
+    if unit in ("kernels", "uops"):
+        return f"{value:g} {unit}"
     return f"{value:.3f}"
-
-
-# --------------------------------------------------------------- metrics
-# Every runner maps (profile, seed) -> a scalar in the spec's unit.
-# They all go through the drivers in repro.harness.experiments, so the
-# engine fans the simulations out across workers, the persistent result
-# cache memoizes them across invocations, and the Fig. 13-16 + ablation
-# claims share one in-process comparison per (names, scale, seed).
-
-def _comparison_geomeans(profile: Profile, seed: int) -> Dict[str, float]:
-    """Geomean CDF/PRE ratios for speedup, MLP, traffic, and energy."""
-    from .experiments import get_comparison
-    from .runner import speedups
-    results = get_comparison(profile.names, profile.scale, seed)
-    out: Dict[str, float] = {}
-    for mode in ("cdf", "pre"):
-        out[f"speedup_{mode}"] = geomean(speedups(results, mode).values())
-        for metric, method in (("mlp", "mlp_ratio"),
-                               ("traffic", "traffic_ratio"),
-                               ("energy", "energy_ratio")):
-            out[f"{metric}_{mode}"] = geomean(
-                getattr(by_mode[mode], method)(by_mode["baseline"])
-                for by_mode in results.values())
-    return out
-
-
-def _run_fig1(profile: Profile, seed: int) -> float:
-    from .experiments import fig01_rob_distribution
-    fractions = fig01_rob_distribution(profile.names, profile.scale, seed)
-    stalling = [f for f in fractions.values() if f > 0]
-    return 100.0 * mean(stalling)
-
-
-def _run_fig13_cdf(profile: Profile, seed: int) -> float:
-    return percent_delta(_comparison_geomeans(profile, seed)["speedup_cdf"])
-
-
-def _run_fig13_pre(profile: Profile, seed: int) -> float:
-    return percent_delta(_comparison_geomeans(profile, seed)["speedup_pre"])
-
-
-def _run_fig13_margin(profile: Profile, seed: int) -> float:
-    data = _comparison_geomeans(profile, seed)
-    return (percent_delta(data["speedup_cdf"])
-            - percent_delta(data["speedup_pre"]))
-
-
-def _run_fig14_cdf(profile: Profile, seed: int) -> float:
-    return _comparison_geomeans(profile, seed)["mlp_cdf"]
-
-
-def _run_fig14_pre_excess(profile: Profile, seed: int) -> float:
-    data = _comparison_geomeans(profile, seed)
-    return data["mlp_pre"] - data["mlp_cdf"]
-
-
-def _run_fig15_cdf(profile: Profile, seed: int) -> float:
-    return percent_delta(_comparison_geomeans(profile, seed)["traffic_cdf"])
-
-
-def _run_fig15_pre_vs_cdf(profile: Profile, seed: int) -> float:
-    data = _comparison_geomeans(profile, seed)
-    return percent_delta(data["traffic_pre"] / data["traffic_cdf"])
-
-
-def _run_fig16_cdf(profile: Profile, seed: int) -> float:
-    return percent_delta(_comparison_geomeans(profile, seed)["energy_cdf"])
-
-
-def _run_fig16_pre(profile: Profile, seed: int) -> float:
-    return percent_delta(_comparison_geomeans(profile, seed)["energy_pre"])
-
-
-def _run_fig16_cdf_vs_pre(profile: Profile, seed: int) -> float:
-    data = _comparison_geomeans(profile, seed)
-    return percent_delta(data["energy_cdf"] / data["energy_pre"])
-
-
-def _run_fig17(profile: Profile, seed: int) -> float:
-    from .experiments import fig17_scaling
-    data = fig17_scaling(rob_sizes=profile.rob_sizes, names=profile.names,
-                         scale=profile.scale, seed=seed)
-    return data["ipc"][(352, "cdf")] / data["ipc"][(512, "baseline")]
-
-
-def _run_ablation_drop(profile: Profile, seed: int) -> float:
-    from .experiments import ablation_critical_branches
-    data = ablation_critical_branches(profile.names, profile.scale, seed)
-    return (percent_delta(data["geomean"]["with"])
-            - percent_delta(data["geomean"]["without"]))
-
-
-def _run_table1_area(profile: Profile, seed: int) -> float:
-    from ..energy import EnergyModel
-    from .runner import config_for_mode
-    return 100.0 * EnergyModel(config_for_mode("cdf")).cdf_area_overhead()
-
-
-RUNNERS: Dict[str, Callable[[Profile, int], float]] = {
-    "fig1_critical_fraction": _run_fig1,
-    "fig13_cdf_uplift": _run_fig13_cdf,
-    "fig13_pre_uplift": _run_fig13_pre,
-    "fig13_cdf_margin": _run_fig13_margin,
-    "fig14_cdf_mlp": _run_fig14_cdf,
-    "fig14_pre_excess": _run_fig14_pre_excess,
-    "fig15_cdf_traffic": _run_fig15_cdf,
-    "fig15_pre_vs_cdf": _run_fig15_pre_vs_cdf,
-    "fig16_cdf_energy": _run_fig16_cdf,
-    "fig16_pre_energy": _run_fig16_pre,
-    "fig16_cdf_vs_pre": _run_fig16_cdf_vs_pre,
-    "fig17_scaling": _run_fig17,
-    "ablation_branches_drop": _run_ablation_drop,
-    "table1_area": _run_table1_area,
-}
 
 
 # -------------------------------------------------------------- registry
@@ -294,8 +215,10 @@ def _quick() -> Profile:
     return Profile(QUICK_NAMES, QUICK_SCALE)
 
 
-def _full() -> Profile:
-    return Profile(tuple(suite_names()), FULL_SCALE)
+def _full(names: Sequence[str] = (),
+          rob_sizes: Tuple[int, ...] = ()) -> Profile:
+    """A FULL profile on *names* (default: the whole suite)."""
+    return Profile(tuple(names or suite_names()), FULL_SCALE, rob_sizes)
 
 
 REGISTRY: Tuple[FigureSpec, ...] = (
@@ -310,6 +233,29 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         runner="fig1_critical_fraction", quick=_quick(), full=_full(),
         note="Paper reports a per-benchmark range; we compare the mean "
              "over stalling benchmarks against the band's midpoint."),
+    FigureSpec(
+        fig_id="fig1-stalling-kernels",
+        paper_ref="Fig. 1",
+        claim="Full-window stalls are common: at least 8 of the 18 "
+              "kernels stall with a full ROB on the baseline core.",
+        unit="kernels", paper_value=8.0, kind="min",
+        runner="fig1_stalling_kernels", full=_full()),
+    FigureSpec(
+        fig_id="fig1-sparse-critical-share",
+        paper_ref="Fig. 1",
+        claim="Outside the dense-stencil family, critical uops hold "
+              "under half of the stalled ROB (mean over the stalling "
+              "kernels).",
+        unit="% of ROB", paper_value=50.0, kind="max",
+        runner="fig1_sparse_share", full=_full()),
+    FigureSpec(
+        fig_id="fig1-stencil-highest",
+        paper_ref="Fig. 1",
+        claim="The dense-stencil family sits higher: its largest "
+              "critical share is no more than 50pp below the largest "
+              "of the other stalling kernels.",
+        unit="pp", paper_value=-50.0, kind="min",
+        runner="fig1_stencil_gap", full=_full()),
     FigureSpec(
         fig_id="fig13-cdf-uplift",
         paper_ref="Fig. 13",
@@ -332,6 +278,55 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         unit="pp", paper_value=0.0, kind="min", tolerance=1.0,
         runner="fig13_cdf_margin", quick=_quick(), full=_full()),
     FigureSpec(
+        fig_id="fig13-branch-cdf-uplift",
+        paper_ref="Fig. 13",
+        claim="CDF gains at least 3% geomean IPC on the "
+              "branch-sensitive family (bzip, astar, mcf, soplex).",
+        unit="%", paper_value=3.0, kind="min",
+        runner="fig13_cdf_uplift", full=_full(BRANCH_SENSITIVE)),
+    FigureSpec(
+        fig_id="fig13-branch-cdf-beats-pre",
+        paper_ref="Fig. 13",
+        claim="CDF outperforms PRE on the branch-sensitive family.",
+        unit="pp", paper_value=0.0, kind="min",
+        runner="fig13_cdf_margin", full=_full(BRANCH_SENSITIVE)),
+    FigureSpec(
+        fig_id="fig13-nab-cdf-uplift",
+        paper_ref="Sec. 2.3",
+        claim="nab gains at least 5% under CDF, from faster initiation "
+              "of its distant misses.",
+        unit="%", paper_value=5.0, kind="min",
+        runner="fig13_cdf_uplift", full=_full(("nab",))),
+    FigureSpec(
+        fig_id="fig13-nab-pre-uplift",
+        paper_ref="Sec. 2.3",
+        claim="PRE gains at most 2% on nab: its misses lie too far "
+              "apart for runahead to reach.",
+        unit="%", paper_value=2.0, kind="max",
+        runner="fig13_pre_uplift", full=_full(("nab",))),
+    FigureSpec(
+        fig_id="fig13-stencil-pre-beats-cdf",
+        paper_ref="Fig. 13",
+        claim="PRE outperforms CDF on the dense-stencil family "
+              "(zeusmp, GemsFDTD, fotonik3d, roms): the CDF-over-PRE "
+              "margin is at most 0.",
+        unit="pp", paper_value=0.0, kind="max",
+        runner="fig13_cdf_margin", full=_full(PRE_FAVOURABLE)),
+    FigureSpec(
+        fig_id="fig13-stencil-cdf-neutral",
+        paper_ref="Fig. 13",
+        claim="CDF stays within 3% of the baseline on the "
+              "dense-stencil family: its chains are too dense to skip.",
+        unit="%", paper_value=0.0, kind="value", match_tol=3.0,
+        runner="fig13_cdf_uplift", full=_full(PRE_FAVOURABLE)),
+    FigureSpec(
+        fig_id="fig13-neutral-cdf-neutral",
+        paper_ref="Fig. 13",
+        claim="CDF stays within 4% of the baseline on the neutral "
+              "family (leslie3d, sphinx, wrf, parest, omnetpp).",
+        unit="%", paper_value=0.0, kind="value", match_tol=4.0,
+        runner="fig13_cdf_uplift", full=_full(NEUTRAL)),
+    FigureSpec(
         fig_id="fig14-cdf-mlp",
         paper_ref="Fig. 14",
         claim="CDF raises memory-level parallelism over the baseline "
@@ -346,6 +341,27 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "performance.",
         unit="x", paper_value=0.0, kind="min", tolerance=0.05,
         runner="fig14_pre_excess", quick=_quick(), full=_full()),
+    FigureSpec(
+        fig_id="fig14-pre-mlp",
+        paper_ref="Fig. 14",
+        claim="PRE raises memory-level parallelism over the baseline.",
+        unit="x", paper_value=1.0, kind="min",
+        runner="fig14_pre_mlp", full=_full()),
+    FigureSpec(
+        fig_id="fig14-cdf-mlp-more-useful",
+        paper_ref="Fig. 14",
+        claim="More of CDF's MLP gain becomes speedup than of PRE's "
+              "(share of the gain, over kernels whose MLP rose 10% or "
+              "more).",
+        unit="share", paper_value=0.0, kind="min",
+        runner="fig14_useful_margin", full=_full()),
+    FigureSpec(
+        fig_id="fig14-pre-mlp-inflation",
+        paper_ref="Fig. 14",
+        claim="On at least one kernel PRE raises MLP above 1.3x for "
+              "under 2% speedup: wrong-chain loads that do not help.",
+        unit="kernels", paper_value=1.0, kind="min",
+        runner="fig14_pre_inflated", full=_full()),
     FigureSpec(
         fig_id="fig15-cdf-traffic",
         paper_ref="Fig. 15",
@@ -363,6 +379,18 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         runner="fig15_pre_vs_cdf", quick=_quick(), full=_full(),
         note="QUICK undershoots: at scale 0.3 PRE's runahead intervals "
              "are short, so its excess traffic is smaller."),
+    FigureSpec(
+        fig_id="fig15-cdf-worst-traffic",
+        paper_ref="Fig. 15",
+        claim="CDF adds at most 5% DRAM traffic on any kernel.",
+        unit="%", paper_value=5.0, kind="max",
+        runner="fig15_cdf_worst_traffic", full=_full()),
+    FigureSpec(
+        fig_id="fig15-pre-worst-traffic",
+        paper_ref="Fig. 15",
+        claim="PRE adds over 5% DRAM traffic on at least one kernel.",
+        unit="%", paper_value=5.0, kind="min",
+        runner="fig15_pre_worst_traffic", full=_full()),
     FigureSpec(
         fig_id="fig16-cdf-energy",
         paper_ref="Fig. 16",
@@ -391,6 +419,13 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         note="Derived from the two Fig. 16 geomeans (CDF/PRE energy "
              "ratio)."),
     FigureSpec(
+        fig_id="fig16-cdf-best-energy",
+        paper_ref="Fig. 16",
+        claim="CDF saves at least 1% energy on its best kernel: its "
+              "biggest savings come with its biggest speedups.",
+        unit="%", paper_value=-1.0, kind="max",
+        runner="fig16_cdf_best_energy", full=_full()),
+    FigureSpec(
         fig_id="fig17-area-scaling",
         paper_ref="Fig. 17",
         claim="CDF on the 352-entry core outperforms a 45%-larger "
@@ -403,6 +438,44 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         note="QUICK sits barely above 1.0: short runs under-train the "
              "CDF tables while the larger window helps immediately."),
     FigureSpec(
+        fig_id="fig17-base-rob-gain",
+        paper_ref="Fig. 17",
+        claim="A 512-entry baseline outperforms a 192-entry one.",
+        unit="x", paper_value=1.0, kind="min",
+        runner="fig17_base_gain",
+        full=_full(FULL_SCALING_NAMES, (192, 512))),
+    FigureSpec(
+        fig_id="fig17-diminishing-returns",
+        paper_ref="Fig. 17",
+        claim="A bigger baseline window has diminishing returns: its "
+              "192->256 IPC step is at least 0.98x its 352->512 step.",
+        unit="x", paper_value=0.98, kind="min",
+        runner="fig17_diminishing",
+        full=_full(FULL_SCALING_NAMES, FIG17_ROB_SIZES),
+        note="Thin margin at FULL: 0.988 against the 0.98 bound."),
+    FigureSpec(
+        fig_id="fig17-cdf-every-rob",
+        paper_ref="Fig. 17",
+        claim="CDF keeps within 0.5% of the equal-size baseline at "
+              "every ROB size from 192 to 512 (worst ROB size).",
+        unit="x", paper_value=0.995, kind="min",
+        runner="fig17_cdf_every_rob",
+        full=_full(FULL_SCALING_NAMES, FIG17_ROB_SIZES)),
+    FigureSpec(
+        fig_id="fig17-cdf-gain-352",
+        paper_ref="Fig. 17",
+        claim="CDF outperforms the baseline at the default 352-entry "
+              "ROB.",
+        unit="x", paper_value=1.0, kind="min",
+        runner="fig17_cdf_gain", full=_full(FULL_SCALING_NAMES, (352,))),
+    FigureSpec(
+        fig_id="fig17-energy-vs-512-base",
+        paper_ref="Fig. 17",
+        claim="A 512-entry baseline uses at least 0.98x the energy of "
+              "CDF on the 352-entry core.",
+        unit="x", paper_value=0.98, kind="min",
+        runner="fig17_energy", full=_full(FULL_SCALING_NAMES, (352, 512))),
+    FigureSpec(
         fig_id="ablation-branches-drop",
         paper_ref="Sec. 4.2",
         claim="Disabling critical-branch marking drops the geomean "
@@ -412,6 +485,189 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         runner="ablation_branches_drop", quick=_quick(), full=_full(),
         note="QUICK undershoots the drop: short runs under-train the "
              "branch criticality tables in both arms."),
+    FigureSpec(
+        fig_id="ablation-branches-off-uplift",
+        paper_ref="Sec. 4.2",
+        claim="Without critical-branch marking CDF still improves "
+              "geomean IPC (paper: +3.8%): loads alone help.",
+        unit="%", paper_value=0.0, kind="min",
+        runner="ablation_branches_off", full=_full()),
+    FigureSpec(
+        fig_id="ablation-branches-family-drop",
+        paper_ref="Sec. 4.2",
+        claim="The drop concentrates in the branch-sensitive family: "
+              "at least 1pp there.",
+        unit="pp", paper_value=1.0, kind="min",
+        runner="ablation_branches_drop", full=_full(BRANCH_SENSITIVE)),
+    FigureSpec(
+        fig_id="ablation-partitioning-margin",
+        paper_ref="Sec. 3.5",
+        claim="Dynamic backend partitioning keeps within 1.5pp of a "
+              "static 50/50 split in geomean speedup.",
+        unit="pp", paper_value=-1.5, kind="min",
+        runner="partitioning_margin", full=_full(PARTITIONING_NAMES),
+        note="Thin margin at FULL: -1.1pp against the -1.5pp bound."),
+    FigureSpec(
+        fig_id="ablation-partitioning-uplift",
+        paper_ref="Sec. 3.5",
+        claim="With dynamic partitioning CDF gains over 2% geomean IPC "
+              "on the partitioning subset.",
+        unit="%", paper_value=2.0, kind="min",
+        runner="partitioning_uplift", full=_full(PARTITIONING_NAMES)),
+    FigureSpec(
+        fig_id="ablation-partitioning-milc-lbm",
+        paper_ref="Sec. 3.5",
+        claim="Dynamic partitioning keeps within 0.5pp of the static "
+              "split on milc and lbm, where a 50/50 split is wrong "
+              "(worst of the two).",
+        unit="pp", paper_value=-0.5, kind="min",
+        runner="partitioning_worst_kernel", full=_full(("milc", "lbm"))),
+    FigureSpec(
+        fig_id="ablation-thresholds-margin",
+        paper_ref="Sec. 3.2",
+        claim="Adaptive strict/permissive CCT thresholds keep within "
+              "0.5pp of strict-only thresholds in geomean speedup.",
+        unit="pp", paper_value=-0.5, kind="min",
+        runner="thresholds_margin", full=_full(THRESHOLD_NAMES)),
+    FigureSpec(
+        fig_id="ablation-thresholds-uplift",
+        paper_ref="Sec. 3.2",
+        claim="With adaptive thresholds CDF gains over 2% geomean IPC "
+              "on the threshold subset.",
+        unit="%", paper_value=2.0, kind="min",
+        runner="thresholds_uplift", full=_full(THRESHOLD_NAMES)),
+    FigureSpec(
+        fig_id="ablation-nc-uop-cache",
+        paper_ref="Sec. 3.3",
+        claim="The rejected Non-Critical Uop Cache moves the geomean "
+              "CDF speedup by less than 4pp either way: non-critical "
+              "uops are not fetch-bound.",
+        unit="pp", paper_value=0.0, kind="value", match_tol=4.0,
+        runner="nc_uop_cache", full=_full(NC_CACHE_NAMES)),
+    FigureSpec(
+        fig_id="ablation-disambiguation-base",
+        paper_ref="Sec. 3.5",
+        claim="Conservative memory disambiguation never speeds the "
+              "baseline up: worst conservative/oracle IPC at most "
+              "1.01x.",
+        unit="x", paper_value=1.01, kind="max",
+        runner="disambiguation_base", full=_full(DISAMBIGUATION_NAMES)),
+    FigureSpec(
+        fig_id="ablation-disambiguation-cdf",
+        paper_ref="Sec. 3.5",
+        claim="Under conservative disambiguation CDF keeps at least "
+              "0.97x of its baseline's IPC on every kernel.",
+        unit="x", paper_value=0.97, kind="min",
+        runner="disambiguation_cdf", full=_full(DISAMBIGUATION_NAMES)),
+    FigureSpec(
+        fig_id="ablation-disambiguation-retired",
+        paper_ref="Sec. 3.5",
+        claim="CDF under conservative disambiguation retires the "
+              "oracle baseline's measured uops to within 6 (one retire "
+              "group of warm-up snapshot granularity).",
+        unit="uops", paper_value=6.0, kind="max",
+        runner="disambiguation_retired",
+        full=_full(DISAMBIGUATION_NAMES)),
+    FigureSpec(
+        fig_id="ext-static-hints-margin",
+        paper_ref="Sec. 6",
+        claim="Profile-guided chain hints cost CDF at most 1pp of "
+              "geomean speedup on finite runs.",
+        unit="pp", paper_value=-1.0, kind="min",
+        runner="hints_margin", full=_full(HINT_NAMES)),
+    FigureSpec(
+        fig_id="ext-static-hints-residency",
+        paper_ref="Sec. 6",
+        claim="Hinted CDF keeps at least 0.95x of hardware CDF's "
+              "CDF-mode cycles on every kernel.",
+        unit="x", paper_value=0.95, kind="min",
+        runner="hints_residency", full=_full(HINT_NAMES),
+        note="Thin margin at FULL: 0.966 against the 0.95 bound."),
+    FigureSpec(
+        fig_id="ext-longlat-loads-only",
+        paper_ref="Sec. 6",
+        claim="On an FDIV-chain-bound kernel with no misses, CDF with "
+              "load criticality only stays within 2% of the baseline.",
+        unit="%", paper_value=0.0, kind="value", match_tol=2.0,
+        runner="longlat_loads_only", full=SYNTHETIC),
+    FigureSpec(
+        fig_id="ext-longlat-uplift",
+        paper_ref="Sec. 6",
+        claim="Marking long-latency FDIV roots critical lets CDF gain "
+              "over 20% on that kernel.",
+        unit="%", paper_value=20.0, kind="min",
+        runner="longlat_uplift", full=SYNTHETIC),
+    FigureSpec(
+        fig_id="ext-memory-cdf-nominal",
+        paper_ref="Sec. 2.4",
+        claim="At nominal DDR4-2400 timing CDF improves geomean IPC on "
+              "the memory-speed subset.",
+        unit="%", paper_value=0.0, kind="min",
+        runner="memory_cdf_nominal", full=_full(MEMORY_SPEED_NAMES)),
+    FigureSpec(
+        fig_id="ext-memory-pre-nominal",
+        paper_ref="Sec. 2.4",
+        claim="At nominal DDR4-2400 timing PRE improves geomean IPC on "
+              "the memory-speed subset.",
+        unit="%", paper_value=0.0, kind="min",
+        runner="memory_pre_nominal", full=_full(MEMORY_SPEED_NAMES)),
+    FigureSpec(
+        fig_id="ext-memory-pre-erodes",
+        paper_ref="Sec. 2.4",
+        claim="PRE's gain erodes with 4x faster memory: shorter stalls "
+              "leave less time to run ahead.",
+        unit="pp", paper_value=0.0, kind="min",
+        runner="memory_pre_erodes", full=_full(MEMORY_SPEED_NAMES)),
+    FigureSpec(
+        fig_id="ext-memory-pre-loses-more",
+        paper_ref="Sec. 2.4",
+        claim="Going to 4x faster memory, PRE loses at least as much "
+              "gain as CDF, within 1pp.",
+        unit="pp", paper_value=-1.0, kind="min",
+        runner="memory_pre_loses_more", full=_full(MEMORY_SPEED_NAMES)),
+    FigureSpec(
+        fig_id="ext-mshr-scaling",
+        paper_ref="Sec. 2.1",
+        claim="CDF gains at least as much with 16 and with 32 L1D MSHRs "
+              "as with 4: the miss buffer caps window expansion.",
+        unit="pp", paper_value=0.0, kind="min",
+        runner="mshr_scaling", full=_full(MSHR_NAMES)),
+    FigureSpec(
+        fig_id="ext-simpoint-pre-inflation",
+        paper_ref="Sec. 4.2",
+        claim="Evaluating only the memory phase (a single SimPoint) "
+              "overstates PRE's gain over the whole program.",
+        unit="pp", paper_value=0.0, kind="min",
+        runner="simpoint_pre_inflation", full=SYNTHETIC),
+    FigureSpec(
+        fig_id="ext-simpoint-cdf-inflation",
+        paper_ref="Sec. 4.2",
+        claim="Evaluating only the memory phase overstates CDF's gain "
+              "over the whole program.",
+        unit="pp", paper_value=0.0, kind="min",
+        runner="simpoint_cdf_inflation", full=SYNTHETIC),
+    FigureSpec(
+        fig_id="ext-simpoint-compute-pre",
+        paper_ref="Sec. 4.2",
+        claim="PRE stays within 3% of the baseline on the compute "
+              "phase.",
+        unit="%", paper_value=0.0, kind="value", match_tol=3.0,
+        runner="simpoint_compute_pre", full=SYNTHETIC),
+    FigureSpec(
+        fig_id="ext-simpoint-compute-cdf",
+        paper_ref="Sec. 4.2",
+        claim="CDF stays within 3% of the baseline on the compute "
+              "phase.",
+        unit="%", paper_value=0.0, kind="value", match_tol=3.0,
+        runner="simpoint_compute_cdf", full=SYNTHETIC),
+    FigureSpec(
+        fig_id="ext-simpoint-pre-between",
+        paper_ref="Sec. 4.2",
+        claim="Whole-program PRE gain lies between the compute phase's "
+              "(less 2pp) and the memory phase's (headroom to the "
+              "nearer bound).",
+        unit="pp", paper_value=0.0, kind="min",
+        runner="simpoint_pre_between", full=SYNTHETIC),
     FigureSpec(
         fig_id="table1-area",
         paper_ref="Table 1",
@@ -546,21 +802,32 @@ def run_figures(mode: str = "quick",
                 ) -> List[ClaimResult]:
     """Run the registry (or a ``fig_ids`` subset) and return one
     :class:`ClaimResult` per claim — planned claims included, so
-    nothing is ever silently skipped."""
+    nothing is ever silently skipped.  A whole-registry QUICK run
+    leaves out the FULL-only claims (see :func:`full_only_ids`)."""
     if fig_ids:
         specs = [get_spec(fig_id) for fig_id in fig_ids]
     else:
-        specs = list(REGISTRY)
+        specs = [spec for spec in REGISTRY
+                 if not (mode == "quick" and spec.full_only)]
     results = []
     for spec in specs:
         if progress is not None and spec.status == "implemented":
             profile = spec.profile(mode)
-            what = (f"{spec.fig_id} [{mode}] scale={profile.scale} "
-                    f"({len(profile.names)} kernels)"
-                    if profile.names else f"{spec.fig_id} (analytic)")
+            if profile is ANALYTIC:
+                what = f"{spec.fig_id} (analytic)"
+            else:
+                kernels = (f"{len(profile.names)} kernels"
+                           if profile.names else "synthetic programs")
+                what = (f"{spec.fig_id} [{mode}] scale={profile.scale} "
+                        f"({kernels})")
             progress(what)
         results.append(run_claim(spec, mode, seed=seed))
     return results
+
+
+def full_only_ids() -> List[str]:
+    """The claims that only a FULL run checks."""
+    return [spec.fig_id for spec in REGISTRY if spec.full_only]
 
 
 def summarize(results: Sequence[ClaimResult]) -> Dict[str, int]:
@@ -599,17 +866,20 @@ def describe_registry() -> str:
             rows.append((spec.fig_id, spec.paper_ref, spec.paper_text(),
                          "planned", "-"))
             continue
-        quick = spec.profile("quick")
-        shape = (f"{len(quick.names)} kernels @ {quick.scale}"
-                 if quick.names else "analytic")
+        if spec.full_only:
+            shape = "full only"
+        else:
+            quick = spec.profile("quick")
+            shape = (f"{len(quick.names)} kernels @ {quick.scale}"
+                     if quick.names else "analytic")
         band = (f"tol {format_value(spec.unit, spec.tolerance)}"
                 if spec.kind != "value" else
                 f"match +/-{spec.match_tol:g}, tol +/-{spec.tolerance:g}")
         rows.append((spec.fig_id, spec.paper_ref, spec.paper_text(),
                      shape, band))
     return render_table(
-        "figure claim registry (quick profile shown; --full runs the "
-        "18-kernel suite at scale 1.0)",
+        "figure claim registry (quick profile shown; --full runs every "
+        "implemented claim at scale 1.0)",
         ("claim", "paper ref", "paper", "quick profile", "band"), rows)
 
 
@@ -677,6 +947,11 @@ def write_baseline(record: dict, path: str = DEFAULT_BASELINE) -> dict:
     return pinned
 
 
+def default_baseline(mode: str) -> str:
+    """The committed baseline a *mode* run is pinned to."""
+    return DEFAULT_FULL_BASELINE if mode == "full" else DEFAULT_BASELINE
+
+
 def load_baseline(path: str = DEFAULT_BASELINE) -> Optional[dict]:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -688,7 +963,7 @@ def load_baseline(path: str = DEFAULT_BASELINE) -> Optional[dict]:
 def check_baseline(record: dict, baseline: dict) -> List[str]:
     """Diff a bench record against the pinned baseline.
 
-    QUICK values are deterministic (fixed seed, engine-cached, no
+    Values are deterministic in both profiles (fixed seed, no
     wall-clock in any metric), so the comparison is exact on the
     6-decimal rounded values; any drift means the model changed and the
     baseline must be re-pinned deliberately (``--write-baseline``).
@@ -735,8 +1010,9 @@ def render_claim_map() -> str:
     """The generated markdown table embedded in docs/PAPER_VS_CODE.md.
 
     One row per registered claim — including ``planned`` ones — with
-    the paper reference, the paper's number, the verdict gate, and the
-    exact command that reproduces it.  Regenerated by
+    the paper reference, the paper's number, the verdict gate, whether
+    only a FULL run checks it, and the exact command that reproduces
+    it.  Regenerated by
     ``repro-sim figures --sync-doc``; hand edits inside the markers are
     overwritten.
     """
@@ -758,7 +1034,8 @@ def render_claim_map() -> str:
                 bound = ">=" if spec.kind == "min" else "<="
                 gate = (f"match {bound} {spec.paper_value:g}, "
                         f"tolerance {spec.tolerance:g} {spec.unit}")
-            status = "implemented"
+            status = ("implemented, FULL only" if spec.full_only
+                      else "implemented")
             command = f"`{spec.command}`"
         lines.append(
             f"| `{spec.fig_id}` | {spec.paper_ref} | {spec.paper_text()} "

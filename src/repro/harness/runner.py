@@ -1,11 +1,11 @@
 """Experiment runner: one benchmark x one mode -> SimResult.
 
-This is the programmatic entry point everything else (examples, figure
-drivers, pytest benches) uses. Traces are cached per (name, scale, seed)
+This is the programmatic entry point everything else (examples, the
+claim studies) uses. Traces are cached per (name, scale, seed)
 so the three modes of a comparison share one functional execution.
 
 ``run_benchmark`` is the single-simulation primitive; multi-point
-functions (``run_comparison`` here, ``sweep``, the figure drivers) go
+functions (``run_comparison`` here, ``sweep``, the claim studies) go
 through :mod:`repro.harness.engine`, which adds process-pool fan-out and
 a persistent on-disk result cache. See docs/harness.md.
 """
@@ -22,7 +22,7 @@ from ..config import SimConfig
 from ..core import BaselinePipeline
 from ..energy import EnergyModel
 from ..runahead import PREPipeline
-from ..stats import SimResult, mark_critical_chains, metrics
+from ..stats import SimResult, mark_critical_chains
 from ..workloads import DEFAULT_SEED, Workload, get_workload
 from .tracestore import get_trace_store, trace_store_enabled
 
@@ -219,21 +219,6 @@ def run_comparison(names: Iterable[str], modes: Iterable[str] = MODES,
             results[name][mode] = flat[index]
             index += 1
     return results
-
-
-def geomean(values: Iterable[float]) -> float:
-    """Defensive geometric mean for sweep/figure reducers.
-
-    Non-positive values (a diverged zero-IPC point) are dropped and an
-    empty input yields 0.0 — the long-standing harness behaviour the
-    figure drivers and their pinned outputs rely on.  The strict
-    variant, which raises a typed :class:`repro.stats.metrics.
-    MetricDomainError` instead, is :func:`repro.stats.metrics.geomean`.
-    """
-    positive = [v for v in values if v > 0]
-    if not positive:
-        return 0.0
-    return metrics.geomean(positive)
 
 
 def speedups(results: Dict[str, Dict[str, SimResult]],

@@ -2,9 +2,9 @@
 
 Generic machinery for sensitivity studies: sweep one knob across a list
 of values, run a set of benchmarks under selected modes at each point,
-and collect geomean speedups. Used by the Fig. 17 driver's cousin
-studies (memory-system sensitivity, MSHR scaling) and available to
-users for their own what-if experiments.
+and collect geomean speedups. Used by the memory-speed and MSHR-scaling
+claims (:mod:`repro.harness.experiments`) and available to users for
+their own what-if experiments.
 
 Sweeps execute through :mod:`repro.harness.engine`: every (value, mode,
 benchmark) point becomes one engine job, so sweeps parallelize under
@@ -18,9 +18,10 @@ import copy
 from typing import Callable, Dict, Sequence
 
 from ..config import SimConfig
+from ..stats.metrics import geomean
 from ..workloads import DEFAULT_SEED
 from .engine import Job, get_engine
-from .runner import config_for_mode, geomean
+from .runner import config_for_mode
 
 #: A knob maps (config, sweep value) to a *new* SimConfig — knobs never
 #: mutate their argument (CFG001: the caller may share it across jobs).
@@ -55,7 +56,11 @@ def sweep(knob: Knob, values: Sequence, names: Sequence[str],
 
 def geomean_speedups(results: Dict,
                      over_mode: str = "baseline") -> Dict:
-    """Reduce sweep results to {value: {mode: geomean speedup}}."""
+    """Reduce sweep results to {value: {mode: geomean speedup}}.
+
+    A zero-IPC point raises
+    :class:`~repro.stats.metrics.MetricDomainError` instead of being
+    dropped from its geomean."""
     out: Dict = {}
     for value, by_mode in results.items():
         base = by_mode[over_mode]

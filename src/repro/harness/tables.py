@@ -30,11 +30,7 @@ def render_table(title: str, headers: Sequence[str],
     return "\n".join(lines)
 
 
-def percent(value: float, signed: bool = True) -> str:
-    """Format a ratio as a percentage delta string."""
-    delta = (value - 1.0) * 100.0
-    return f"{delta:+.1f}%" if signed else f"{delta:.1f}%"
+def percent(value: float) -> str:
+    """Format a ratio as a signed percentage delta string."""
+    return f"{(value - 1.0) * 100.0:+.1f}%"
 
-
-def ratio(value: float) -> str:
-    return f"{value:.3f}"

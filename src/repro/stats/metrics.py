@@ -3,9 +3,9 @@
 The paper reports every headline number as a geometric mean over the
 benchmark suite, usually as a percentage delta against the baseline
 core.  These helpers are the single place that arithmetic lives so the
-figure drivers (:mod:`repro.harness.experiments`), the paper-parity
-registry (:mod:`repro.harness.figures`), and ad-hoc analysis scripts
-cannot disagree on how a "geomean uplift" is computed.
+claim studies (:mod:`repro.harness.experiments`), the paper-parity
+registry (:mod:`repro.harness.figures`), sweeps, and ad-hoc analysis
+scripts cannot disagree on how a "geomean uplift" is computed.
 
 Everything here is a pure function of its inputs (no config, no state),
 which keeps the module inside the mypy strict island and importable
@@ -32,8 +32,8 @@ class MetricDomainError(ValueError):
     Raised instead of a bare ``ValueError``/``math domain error`` so
     callers can distinguish "a claim's kernel list filtered to nothing"
     from an arbitrary arithmetic bug and decide their own policy (the
-    figure extractors report such claims as diverged; see
-    ``repro.harness.figures``).
+    claim registry re-raises it as a ``ClaimValueError`` naming the
+    claim; see ``repro.harness.figures``).
     """
 
     def __init__(self, message: str, offending: object = None) -> None:
@@ -50,9 +50,9 @@ def geomean(values: Iterable[float]) -> float:
     the offending input instead of a bare ``math`` error from deep
     inside the log.  Callers that legitimately see empty or mixed-sign
     inputs (a figure claim whose kernel list filtered to nothing, a
-    sweep containing a zero-IPC point) must filter or catch explicitly
-    — see ``repro.harness.runner.geomean`` for the defensive wrapper
-    the sweep reducers use.
+    sweep containing a zero-IPC point) must filter or catch explicitly;
+    the claim registry turns the error into a failed claim, never a
+    verdict.
     """
     listed = list(values)
     if not listed:

@@ -146,7 +146,7 @@ def test_det003_allowlists_harness_telemetry():
         start = time.perf_counter()
     """
     assert not findings("DET003", source, module="repro.harness.engine")
-    assert not findings("DET003", source, module="repro.harness.report")
+    assert not findings("DET003", source, module="repro.harness.figures")
     assert findings("DET003", source, module="repro.memory.dram")
 
 

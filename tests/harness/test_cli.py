@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -56,18 +56,6 @@ def test_compare(capsys):
     assert code == 0
     for mode in ("baseline", "cdf", "pre"):
         assert mode in out
-
-
-def test_figure_table1(capsys):
-    code, out = run_cli(capsys, "figure", "table1")
-    assert code == 0
-    assert "352 Entry ROB" in out
-
-
-def test_figure_fig13_small(capsys):
-    code, out = run_cli(capsys, "figure", "fig13", "--scale", "0.08")
-    assert code == 0
-    assert "GEOMEAN" in out
 
 
 def test_disasm(capsys):
@@ -134,12 +122,9 @@ def test_unknown_benchmark_rejected():
         build_parser().parse_args(["run", "gcc"])
 
 
-def test_all_figures_registered():
-    assert set(FIGURES) == {
-        "table1", "fig1", "fig13", "fig14", "fig15", "fig16", "fig17",
-        "ablation-branches", "ablation-partitioning",
-        "ablation-thresholds",
-    }
+def test_report_requires_a_benchmark():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["report", "--scale", "0.5"])
 
 
 def test_cache_subcommand_covers_trace_store(capsys, tmp_path, monkeypatch):

@@ -145,7 +145,7 @@ def test_cli_surface_covers_new_subcommands():
     surface = cli_surface()
     assert "figures" in surface
     for flag in ("--quick", "--full", "--fig", "--check-baseline",
-                 "--write-baseline", "--sync-doc", "--out", "--serve",
+                 "--write-baseline", "--sync-doc", "--out",
                  "--jobs", "--no-cache"):
         assert flag in surface["figures"], flag
     assert "lint" in surface

@@ -46,7 +46,8 @@ from repro.harness.figures import (
     verdict,
     write_baseline,
 )
-from repro.workloads import suite_names
+from repro.harness.runner import run_comparison
+from repro.workloads import DEFAULT_SEED, suite_names
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -58,19 +59,21 @@ def test_fig_ids_unique():
 
 
 def test_every_implemented_spec_resolves():
-    """Each implemented claim names a real runner and profiles whose
-    kernels exist in the suite — nothing can be silently unrunnable."""
+    """Each implemented claim names a real runner and a FULL profile
+    (plus, unless it is FULL-only, a QUICK one) whose kernels exist in
+    the suite — nothing can be silently unrunnable."""
     suite = set(suite_names())
     for spec in implemented_specs():
         assert spec.runner in RUNNERS, spec.fig_id
-        for mode in ("quick", "full"):
+        assert spec.full is not None, spec.fig_id
+        modes = ("full",) if spec.full_only else ("quick", "full")
+        for mode in modes:
             profile = spec.profile(mode)
             assert set(profile.names) <= suite, (spec.fig_id, mode)
             if profile is not ANALYTIC:
                 assert 0.0 < profile.scale <= 1.0, (spec.fig_id, mode)
-        if spec.runner == "fig17_scaling":
-            for mode in ("quick", "full"):
-                assert {352, 512} <= set(spec.profile(mode).rob_sizes)
+            if spec.runner == "fig17_scaling":
+                assert {352, 512} <= set(profile.rob_sizes)
 
 
 def test_registry_covers_headline_figures():
@@ -163,17 +166,28 @@ def test_claim_without_a_finite_value_raises(monkeypatch, bad):
         run_claim(get_spec("table1-area"), "quick")
 
 
-def test_zero_kernel_ratio_raises_instead_of_a_verdict(monkeypatch):
-    """A zero-IPC baseline makes one kernel's speedup 0.0; its geomean
-    has no value, so the claim fails rather than reading -100%."""
-    from repro.harness import runner
-    monkeypatch.setattr(experiments, "get_comparison",
-                        lambda *args, **kwargs: {})
-    monkeypatch.setattr(runner, "speedups",
-                        lambda results, mode: {"astar": 0.0, "mcf": 1.2})
-    with pytest.raises(ClaimValueError,
-                       match=r"fig13-cdf-uplift \[quick\]"):
-        run_claim(get_spec("fig13-cdf-uplift"), "quick")
+@pytest.mark.parametrize("fig_id", ["fig13-cdf-uplift",
+                                    "ablation-branches-drop",
+                                    "fig17-area-scaling"])
+def test_zero_kernel_ratio_raises_instead_of_a_verdict(monkeypatch,
+                                                       fig_id):
+    """A zero-IPC CDF run makes one kernel's speedup (or IPC) 0.0; its
+    geomean has no value, so the claim fails rather than reading a
+    verdict for the kernels left over."""
+    from repro.harness.engine import Engine
+    from repro.stats import SimResult
+
+    def fake_run(self, jobs):
+        return [SimResult(
+            benchmark=job.benchmark, mode=job.mode, cycles=1000,
+            retired_uops=0 if (job.benchmark, job.mode) == ("astar", "cdf")
+            else 1000, mlp=1.0, dram_reads={}, dram_writes={},
+            full_window_stall_cycles=0) for job in jobs]
+
+    monkeypatch.setattr(Engine, "run", fake_run)
+    monkeypatch.setattr(experiments, "_comparison_cache", {})
+    with pytest.raises(ClaimValueError, match=rf"{fig_id} \[quick\]"):
+        run_claim(get_spec(fig_id), "quick")
 
 
 def test_run_figures_never_skips_planned_claims():
@@ -296,14 +310,44 @@ def test_check_baseline_detects_drift(tmp_path):
 
 
 def test_repo_quick_baseline_matches_registry():
-    """The committed pinned baseline covers exactly the registry."""
+    """The committed pinned baseline covers exactly the claims a QUICK
+    run checks: every claim but the FULL-only ones."""
     baseline = load_baseline(str(REPO_ROOT / figmod.DEFAULT_BASELINE))
     assert baseline is not None, "benchmarks/figures_baseline.json missing"
     assert baseline["schema"] == figmod.SCHEMA_VERSION
     assert baseline["mode"] == "quick"
+    assert set(baseline["claims"]) == {
+        s.fig_id for s in REGISTRY if not s.full_only}
+    assert not any(claim["verdict"] == DIVERGED
+                   for claim in baseline["claims"].values())
+
+
+def test_repo_full_baseline_matches_registry():
+    """The committed FULL baseline covers every claim in the registry
+    and pins none as diverged."""
+    baseline = load_baseline(str(REPO_ROOT / figmod.DEFAULT_FULL_BASELINE))
+    assert baseline is not None, \
+        "benchmarks/figures_baseline_full.json missing"
+    assert baseline["schema"] == figmod.SCHEMA_VERSION
+    assert baseline["mode"] == "full"
+    assert baseline["seed"] == DEFAULT_SEED
     assert set(baseline["claims"]) == {s.fig_id for s in REGISTRY}
     assert not any(claim["verdict"] == DIVERGED
                    for claim in baseline["claims"].values())
+
+
+def test_quick_fig15_cdf_traffic_is_zero_by_construction():
+    """QUICK's fig15-cdf-traffic reads exactly 0.0 because CDF makes the
+    same DRAM reads and writes as baseline, source by source, on every
+    QUICK kernel, even though it enters CDF mode on some of them."""
+    results = run_comparison(figmod.QUICK_NAMES, ("baseline", "cdf"),
+                             figmod.QUICK_SCALE)
+    for name, by_mode in results.items():
+        base, cdf = by_mode["baseline"], by_mode["cdf"]
+        assert cdf.dram_reads == base.dram_reads, name
+        assert cdf.dram_writes == base.dram_writes, name
+    assert any(by_mode["cdf"].counters["cdf_mode_cycles"] > 0
+               for by_mode in results.values())
 
 
 # ------------------------------------------------------------- claim map
@@ -354,6 +398,16 @@ def test_cli_figures_list(capsys):
     for spec in REGISTRY:
         assert spec.fig_id in out
     assert "planned" in out
+    assert "full only" in out
+
+
+def test_cli_figures_quick_refuses_full_only_claim(capsys):
+    fig_id = figmod.full_only_ids()[0]
+    code = main(["figures", "--quick", "--fig", fig_id])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert fig_id in captured.err and "--full" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_figures_single_claim_smoke(capsys):

@@ -5,7 +5,6 @@ import pytest
 from repro.config import SimConfig
 from repro.harness import (
     config_for_mode,
-    geomean,
     load_workload,
     make_pipeline,
     run_benchmark,
@@ -74,12 +73,6 @@ def test_run_comparison_and_speedups():
     assert set(results["bzip"]) == {"baseline", "cdf", "pre"}
     ratio = speedups(results, "cdf")["bzip"]
     assert ratio > 0
-
-
-def test_geomean():
-    assert geomean([1.0, 4.0]) == pytest.approx(2.0)
-    assert geomean([]) == 0.0
-    assert geomean([2.0, 0.0, -1.0]) == pytest.approx(2.0)  # ignores <= 0
 
 
 def test_workload_cache_capacity_env(monkeypatch):

@@ -20,6 +20,28 @@ def test_baseline_matches_table1_core():
     assert (core.lq_size, core.sq_size) == (128, 72)
 
 
+def test_baseline_matches_table1_caches_and_memory():
+    cfg = SimConfig.baseline()
+    assert (cfg.l1i.size_bytes, cfg.l1i.ways) == (32 * 1024, 8)
+    assert cfg.l1d.latency == 2
+    assert (cfg.llc.size_bytes, cfg.llc.ways) == (1024 * 1024, 16)
+    assert cfg.llc.latency == 18
+    assert cfg.llc.line_bytes == 64
+    assert (cfg.dram.channels, cfg.dram.ranks) == (2, 1)
+    assert (cfg.dram.bank_groups, cfg.dram.banks_per_group) == (4, 4)
+    assert (cfg.dram.trp, cfg.dram.tcl, cfg.dram.trcd) == (16, 16, 16)
+
+
+def test_cdf_structures_match_table1():
+    cdf = SimConfig.with_cdf().cdf
+    assert (cdf.cct_entries, cdf.cct_ways) == (64, 2)
+    assert cdf.mask_cache_entries * 8 == 4 * 1024               # 4KB
+    assert cdf.uop_cache_entries * cdf.uops_per_trace * 8 == 18 * 1024
+    assert cdf.fill_buffer_entries == 1024
+    assert cdf.delayed_branch_queue_entries == 256
+    assert cdf.critical_map_queue_entries == 256
+
+
 def test_mode_selection_helpers():
     assert SimConfig.baseline().mode() == "baseline"
     assert SimConfig.with_cdf().mode() == "cdf"
