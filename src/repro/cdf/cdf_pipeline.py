@@ -37,7 +37,7 @@ from .fill_buffer import FillBuffer
 from .mask_cache import MaskCache
 from .partition import PartitionController
 from .queues import CMQEntry, CriticalMapQueue, DBQEntry, DelayedBranchQueue
-from .uop_cache import CriticalUopCache
+from .uop_cache import CriticalUopCache, UopCacheEntry
 
 #: Basic blocks the critical fetch engine can traverse per cycle (one or
 #: two trace-cache lines).
@@ -50,6 +50,12 @@ CRIT_FETCH_BUFFER_CAP = 24
 #: Pipeline depth from the Critical Uop Cache to critical rename (decoded
 #: uops skip decode).
 CRIT_FETCH_LATENCY = 2
+
+#: Rename block reasons that accrue partition stall cycles each cycle.
+_PARTITIONED = ("rob", "lq", "sq")
+
+#: No wakeup pending (a cycle no run reaches).
+_NEVER = 1 << 62
 
 
 class CDFPipeline(BaselinePipeline):
@@ -518,14 +524,14 @@ class CDFPipeline(BaselinePipeline):
         # bias the controller into shrinking the critical section the
         # moment CDF mode begins.
         partitioned = self.cdf_mode or bool(self.rob_crit)
-        if crit_blocked in ("rob", "lq", "sq"):
+        if crit_blocked in _PARTITIONED:
             if partitioned:
                 getattr(partitions, crit_blocked).note_stall(critical=True)
             self.counters[f"crit_dispatch_stall_{crit_blocked}_cycles"] += 1
         elif crit_blocked is not None:
             self.counters[f"crit_dispatch_stall_{crit_blocked}_cycles"] += 1
         blocked = self._dispatch_blocked
-        if blocked in ("rob", "lq", "sq") and partitioned:
+        if blocked in _PARTITIONED and partitioned:
             getattr(partitions, blocked).note_stall(critical=False)
         if blocked is not None:
             self._account_stall(cycle, blocked, 1)
@@ -744,16 +750,144 @@ class CDFPipeline(BaselinePipeline):
         super()._complete_at(entry, cycle, completion)
 
     # -------------------------------------------------------------- ticking
-    def needs_every_cycle(self) -> bool:
-        """Tick every cycle while any CDF structure is live.
+    def _next_cycle(self, cycle: int) -> int:
+        """The scheduler, extended over CDF mode's quiet stall spans.
 
-        Per-cycle bookkeeping (partition stall counters and rebalance
-        hysteresis, dual-stream scheduling, crit-fetch-buffer decode
-        timers) matters while any CDF structure is live, and those
-        steps are *stateful per invocation* (``decay_all`` moves the
-        partition boundary one step per call), so the engine must not
-        jump spans then.  Out of CDF mode with the critical structures
-        drained, the machine is a baseline core and the base wakeup
-        sources cover every way work can appear.
+        With no CDF structure live the machine is a baseline core, and
+        the base wakeups cover every way work can appear.  In CDF mode
+        the engine jumps a span only when, from the next cycle until
+        the earliest CDF wakeup, every stage would do nothing but bump
+        per-cycle counters; those counters then grow by the span.  The
+        wakeups are the top of the completion-event heap, the heads of
+        the critical fetch buffer and the frontend queue, and the two
+        fetch-resume timers.
+
+        Everything else ticks: live states outside CDF mode, spans in
+        which a partitioned ROB/LQ/SQ accrues stall cycles or a stall
+        imbalance has reached the rebalance threshold, the rename stall
+        after a violation flush (``_dispatch`` returns before resetting
+        ``_dispatch_blocked`` there) and retry-load spans.  The CDF-exit
+        test needs no check: it ran at the end of this tick's fetch and
+        failed, and a quiet span changes none of its inputs.
         """
-        return bool(self.cdf_mode or self.crit_fetch_buffer or self.rob_crit)
+        if not (self.cdf_mode or self.crit_fetch_buffer or self.rob_crit):
+            return super()._next_cycle(cycle)
+        next_cycle = cycle + 1
+        if not self.cdf_mode or self.ready_q or self.retry_loads \
+                or self._retired_this_cycle \
+                or next_cycle < self._rename_stall_until:
+            return next_cycle
+        events = self.events
+        target = events[0][0] if events else _NEVER
+        if target <= next_cycle:
+            return next_cycle
+
+        # Critical rename: no ready head, or a head blocked without
+        # touching the partition stall counters.
+        buffer = self.crit_fetch_buffer
+        crit_blocked: Optional[str] = None
+        if buffer:
+            ready, uop = buffer[0]
+            if ready > next_cycle:
+                target = min(target, ready)
+            else:
+                crit_blocked = self._critical_block_reason(uop)
+                if crit_blocked is None or crit_blocked in _PARTITIONED:
+                    return next_cycle
+        # Regular rename: likewise, or a replay waiting on the CMQ.
+        frontend_q = self.frontend_q
+        blocked: Optional[str] = None
+        if frontend_q:
+            ready, uop = frontend_q[0]
+            if ready > next_cycle:
+                target = min(target, ready)
+            elif uop.seq in self.critically_fetched:
+                head = self.cmq.peek()
+                if head is not None and head.seq == uop.seq:
+                    return next_cycle
+                blocked = "cmq_wait"
+            else:
+                blocked = self._allocation_block_reason(uop)
+                if blocked is None or blocked in _PARTITIONED:
+                    return next_cycle
+        if (crit_blocked or blocked) and self.cdf_cfg.dynamic_partitioning:
+            # A blocked rename calls rebalance_all every cycle; it is a
+            # no-op only while every imbalance is inside the threshold.
+            threshold = self.cdf_cfg.stall_cycle_threshold
+            partitions = self.partitions
+            for resource in (partitions.rob, partitions.lq, partitions.sq):
+                if abs(resource.critical_stall_cycles
+                       - resource.noncritical_stall_cycles) >= threshold:
+                    return next_cycle
+
+        # Critical fetch: idle, or stalled at the first uop of a valid
+        # trace on a full DBQ or a full critical fetch buffer.
+        stalled_trace = None
+        if not self.crit_stopped and self.crit_blocked_on is None:
+            resume = self.crit_resume_cycle
+            if resume > next_cycle:
+                target = min(target, resume)
+            else:
+                stalled_trace = self._critical_fetch_stall(next_cycle)
+                if stalled_trace is None:
+                    return next_cycle
+        # Regular fetch: idle, facing a full frontend queue, or caught
+        # up with critical fetch (the limit the base wakeup ignores).
+        nc_reads = False
+        if self.fetch_blocked_on is None:
+            resume = self.fetch_resume_cycle
+            if resume > next_cycle:
+                target = min(target, resume)
+            elif len(frontend_q) < self.frontend_cap \
+                    and self.fetch_seq < self.crit_seq:
+                return next_cycle
+            else:
+                nc_reads = self.cdf_cfg.non_critical_uop_cache
+        # Retire: a dispatch this tick can advance replay_frontier past
+        # a completed critical head, which no event announces.
+        if target == _NEVER or self._retire_ready():
+            return next_cycle
+
+        skipped = target - next_cycle
+        counters = self.counters
+        counters["cdf_mode_cycles"] += skipped
+        if crit_blocked is not None:
+            counters[f"crit_dispatch_stall_{crit_blocked}_cycles"] += skipped
+        if blocked is not None:
+            self._account_stall(cycle, blocked, skipped)
+        if stalled_trace is not None:
+            counters["uop_cache_reads"] += skipped
+            self.uop_cache.repeat_hits(stalled_trace, skipped)
+        if nc_reads:
+            counters["nc_uop_cache_reads"] += skipped
+        counters["idle_skipped_cycles"] += skipped
+        return target
+
+    def _critical_fetch_stall(self, cycle: int) -> Optional[UopCacheEntry]:
+        """The uop-cache trace that critical fetch at *cycle* would read
+        and then stall on, or None if it would move or stop instead."""
+        trace = self.trace
+        if self.crit_seq >= len(trace):
+            return None
+        uop = trace[self.crit_seq]
+        bb = self.bb_start[uop.pc]
+        entry = self.uop_cache.probe(bb, cycle)
+        if entry is None:
+            return None
+        if uop.is_branch and self.dbq.full:
+            return entry
+        if (entry.mask >> (uop.pc - bb)) & 1 \
+                and len(self.crit_fetch_buffer) >= CRIT_FETCH_BUFFER_CAP:
+            return entry
+        return None
+
+    def _retire_ready(self) -> bool:
+        """Would :meth:`_retire` retire its first uop next cycle?"""
+        head_c = self.rob_crit[0] if self.rob_crit else None
+        head_n = self.rob[0] if self.rob else None
+        if head_n is None or (head_c is not None
+                              and head_c.seq < head_n.seq):
+            if head_c is None or self.replay_frontier <= head_c.seq:
+                return False
+            return head_c.state == COMPLETE
+        return head_n.state == COMPLETE

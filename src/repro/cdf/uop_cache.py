@@ -61,12 +61,28 @@ class CriticalUopCache:
         """Return the trace for a block if present *and* fill-visible."""
         self.lookups += 1
         self._clock += 1
+        entry = self.probe(bb_start, cycle)
+        if entry is not None:
+            entry.lru = self._clock
+            self.hits += 1
+        return entry
+
+    def probe(self, bb_start: int, cycle: int) -> Optional[UopCacheEntry]:
+        """:meth:`lookup` without its side effects: no lookup or hit is
+        counted and no LRU stamp moves."""
         entry = self._find(bb_start)
         if entry is None or cycle < entry.valid_from:
             return None
-        entry.lru = self._clock
-        self.hits += 1
         return entry
+
+    def repeat_hits(self, entry: UopCacheEntry, count: int) -> None:
+        """Account *count* back-to-back :meth:`lookup` hits on *entry*,
+        exactly as that many calls would (a stalled critical fetch
+        re-reads one trace every cycle)."""
+        self.lookups += count
+        self.hits += count
+        self._clock += count
+        entry.lru = self._clock
 
     def fill(self, bb_start: int, mask: int, ends_in_branch: bool,
              valid_from: int) -> UopCacheEntry:

@@ -83,8 +83,6 @@ class BaselinePipeline:
         self._use_note_branch = (
             cls._note_branch_outcome
             is not BaselinePipeline._note_branch_outcome)
-        self._use_needs_every_cycle = (
-            cls.needs_every_cycle is not BaselinePipeline.needs_every_cycle)
 
         self.mlp_tracker = MLPTracker()
         self.mem = MemoryHierarchy(config, mlp_tracker=self.mlp_tracker)
@@ -157,18 +155,6 @@ class BaselinePipeline:
 
     def _note_branch_outcome(self, uop: DynUop, outcome) -> None:
         """Subclass hook: a branch was predicted at fetch time."""
-
-    def needs_every_cycle(self) -> bool:
-        """Subclass hook: must the engine tick every cycle right now?
-
-        Called from :meth:`_next_cycle` whenever the engine considers
-        jumping an idle span.  A subclass whose bookkeeping must run
-        every cycle while some structure is live (the CDF dual-stream
-        machinery) returns True for exactly those phases, which pins
-        per-cycle ticking without overriding the scheduler itself.
-        The base pipeline never needs it.
-        """
-        return False
 
     def attach_verifier(self, verifier):
         """Bind *verifier* (a :class:`repro.verify.PipelineVerifier`) to
@@ -677,9 +663,7 @@ class BaselinePipeline:
           is unblocked;
         * **fetch resume** — redirect penalties and BTB bubbles park
           fetch until ``fetch_resume_cycle``, consulted while fetch has
-          trace left and frontend-queue room;
-        * **the subclass hook** — while :meth:`needs_every_cycle` says
-          so, every cycle is ticked.
+          trace left and frontend-queue room.
 
         The jump *coverage* (which cycles are skipped, and by how much)
         is part of the simulator's observable behaviour — skipped spans
@@ -692,8 +676,6 @@ class BaselinePipeline:
         """
         next_cycle = cycle + 1
         if self.ready_q or self._retired_this_cycle:
-            return next_cycle
-        if self._use_needs_every_cycle and self.needs_every_cycle():
             return next_cycle
         # Can anything dispatch next cycle?
         frontend_q = self.frontend_q
