@@ -10,9 +10,9 @@ definitions, or, for allocator helpers, by a capacity gate dominating
 every project call site (found through the call graph).
 
 That last excusal is what lets ``_allocate`` stay guard-free while
-``_dispatch`` holds the ``_allocation_block_reason`` gate — the shape
-the pipelines actually use — while still flagging a *new* caller that
-skips the gate.
+the dispatch stages hold the gate — in line in the base ``_dispatch``,
+through ``_allocation_block_reason`` in the CDF one — while still
+flagging a *new* caller that skips the gate.
 """
 
 from __future__ import annotations

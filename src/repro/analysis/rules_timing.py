@@ -42,7 +42,6 @@ _TIMED_CALLS: Tuple[Tuple[str, Tuple[int, ...], Optional[str]], ...] = (
     ("expire", (0,), r"mshr"),
     ("allocate", (1,), r"mshr"),
     ("on_mem_request", (0, 1), None),
-    ("_complete_at", (1, 2), None),
 )
 
 #: telemetry/driver layers that don't feed simulated state
@@ -116,7 +115,7 @@ class CycleMonotonicityRule(Rule):
             receiver_paths = expanded_dotteds(callee.value, analysis,
                                               stmt)
             if not receiver_paths:
-                # super()._complete_at(...) and friends
+                # super().load(...) and friends
                 receiver_paths = [unparse(callee.value)]
         elif isinstance(callee, ast.Name):
             # aliased bound method: `ifetch = self.mem.ifetch`

@@ -85,8 +85,9 @@ class CDFPipeline(BaselinePipeline):
         self.use_permissive = False
         self._retired_since_fill = 0
         self._retired_since_mask_reset = 0
-        self._interval_retired = 0
         self._interval_critical = 0
+        self._record_from = self.fill_buffer.window_start(
+            cdf.fill_interval_uops)
 
         # CDF mode and the critical fetch engine.
         self.cdf_mode = False
@@ -114,7 +115,6 @@ class CDFPipeline(BaselinePipeline):
         self.partitions = PartitionController(
             cdf, config.core.rob_size, config.core.lq_size,
             config.core.sq_size, config.core.rs_size)
-        self.rs_crit_used = 0
         self.lq_crit_used = 0
         self.sq_crit_used = 0
         self.writers_crit = 0
@@ -124,7 +124,6 @@ class CDFPipeline(BaselinePipeline):
 
         # Replay / retirement ordering.
         self.replay_frontier = 0
-        self.last_retired_seq = -1
         self._rename_stall_until = 0
 
         self._extra_stage = 1 if cdf.extra_rename_stage else 0
@@ -146,8 +145,31 @@ class CDFPipeline(BaselinePipeline):
         gauges["cdf_mode"] = 1 if self.cdf_mode else 0
         return gauges
 
+    # =============================================================== routing
+    def _regular_only(self, cycle: int) -> bool:
+        """Is the machine a baseline core this cycle?
+
+        It is while no CDF structure is live, rename is not stalled
+        after a violation flush, and every partition has decayed to
+        zero.  The partitioned gate then equals the base gate check for
+        check, ``decay_all`` is a no-op and the retire merge only ever
+        sees the non-critical ROB, so ``_dispatch`` and ``_retire`` run
+        the base code.  Only CDF-mode entry leaves this state.
+        """
+        if self.cdf_mode or self.crit_fetch_buffer or self.rob_crit \
+                or self.critically_fetched \
+                or cycle < self._rename_stall_until:
+            return False
+        partitions = self.partitions
+        return not (partitions.rob.critical_size
+                    or partitions.lq.critical_size
+                    or partitions.sq.critical_size)
+
     # ================================================================ retire
     def _retire(self, cycle: int) -> None:
+        if self._regular_only(cycle):
+            BaselinePipeline._retire(self, cycle)
+            return
         budget = self.retire_width
         rob_crit = self.rob_crit
         rob_noncrit = self.rob
@@ -192,7 +214,6 @@ class CDFPipeline(BaselinePipeline):
             del inflight[entry.seq]
             if entry.uop.is_store:
                 self.mem.store_commit(cycle, entry.uop.mem_addr)
-            self.last_retired_seq = entry.seq
             self.retired += 1
             self._retired_this_cycle += 1
             budget -= 1
@@ -211,16 +232,20 @@ class CDFPipeline(BaselinePipeline):
         uop = entry.uop
         cdf = self.cdf_cfg
         counters = self.counters
+        # The CCTs train on every retire; the Fill Buffer records only
+        # the retires the next walk reads.
+        record = self._retired_since_fill >= self._record_from
         root_critical = False
         if uop.is_load:
             self.cct_loads.update(uop.pc, entry.llc_miss)
             counters["cct_updates"] += 1
-            root_critical = self.cct_loads.is_critical(
-                uop.pc, self.use_permissive)
+            if record:
+                root_critical = self.cct_loads.is_critical(
+                    uop.pc, self.use_permissive)
         elif uop.is_cond_branch:
             self.cct_branches.update(uop.pc, entry.mispredicted)
             counters["cct_updates"] += 1
-            if cdf.mark_branches_critical:
+            if record and cdf.mark_branches_critical:
                 root_critical = self.cct_branches.is_critical(
                     uop.pc, self.use_permissive)
         elif cdf.mark_longlat_critical \
@@ -229,10 +254,10 @@ class CDFPipeline(BaselinePipeline):
             # roots chains too.
             root_critical = True
             counters["longlat_roots"] += 1
-        self.fill_buffer.record_uop(uop, self.bb_start[uop.pc],
-                                    root_critical)
+        if record:
+            self.fill_buffer.record_uop(uop, self.bb_start[uop.pc],
+                                        root_critical)
 
-        self._interval_retired += 1
         if entry.critical:
             self._interval_critical += 1
         self._retired_since_fill += 1
@@ -248,10 +273,9 @@ class CDFPipeline(BaselinePipeline):
         """Run the backwards dataflow walk and install traces."""
         cdf = self.cdf_cfg
         # Adapt strict/permissive selection to measured coverage.
-        if self._interval_retired:
-            fraction = self._interval_critical / self._interval_retired
+        if self._retired_since_fill:
+            fraction = self._interval_critical / self._retired_since_fill
             self.use_permissive = fraction < cdf.low_coverage_fraction
-        self._interval_retired = 0
         self._interval_critical = 0
 
         result = self.fill_buffer.walk(self.mask_cache.snapshot_masks())
@@ -296,6 +320,12 @@ class CDFPipeline(BaselinePipeline):
         if entry is None or entry.mask == 0:
             return
         self.cdf_mode = True
+        # The regular-only stages leave replay_frontier alone.  Regular
+        # rename has renamed every uop older than its queue's head, and
+        # that queue holds consecutive seqs up to fetch_seq.
+        frontend_q = self.frontend_q
+        self.replay_frontier = (frontend_q[0][1].seq if frontend_q
+                                else self.fetch_seq)
         self.crit_seq = self.fetch_seq
         self.mode_entry_seq = self.fetch_seq
         self.crit_stopped = False
@@ -455,6 +485,13 @@ class CDFPipeline(BaselinePipeline):
             self.counters.bump("dbq_leftover_entries", len(self.dbq))
             self.dbq.clear()
 
+    def _writeback(self, cycle: int) -> None:
+        # _on_complete can act only while critical fetch waits on a
+        # branch.
+        BaselinePipeline._writeback(
+            self, cycle,
+            self._on_complete if self.crit_blocked_on is not None else None)
+
     def _on_complete(self, entry: RobEntry, cycle: int) -> None:
         if entry.seq == self.crit_blocked_on:
             self.crit_blocked_on = None
@@ -464,6 +501,9 @@ class CDFPipeline(BaselinePipeline):
 
     # ============================================================== dispatch
     def _dispatch(self, cycle: int) -> None:
+        if self._regular_only(cycle):
+            BaselinePipeline._dispatch(self, cycle)
+            return
         if cycle < self._rename_stall_until:
             return
         budget = self.rename_width
@@ -473,6 +513,7 @@ class CDFPipeline(BaselinePipeline):
         # Critical rename has priority (Sec. 3.5, Issue and Dispatch).
         crit_blocked: Optional[str] = None
         buffer = self.crit_fetch_buffer
+        crit_allocated = 0
         while budget and buffer and buffer[0][0] <= cycle:
             uop = buffer[0][1]
             crit_blocked = self._critical_block_reason(uop)
@@ -480,10 +521,12 @@ class CDFPipeline(BaselinePipeline):
                 break
             buffer.popleft()
             self._allocate_critical(uop, cycle)
+            crit_allocated += 1
             budget -= 1
 
         # Regular rename: non-critical uops allocate, critical uops replay.
         frontend_q = self.frontend_q
+        allocated = 0
         while budget and frontend_q and frontend_q[0][0] <= cycle:
             uop = frontend_q[0][1]
             seq = uop.seq
@@ -498,6 +541,7 @@ class CDFPipeline(BaselinePipeline):
                     # Poison bit detected while replaying the rename: the
                     # uop stays at the head of the frontend queue and is
                     # re-dispatched as a regular uop after the flush.
+                    self._count_renames(allocated, crit_allocated)
                     self._violation_flush(cycle, seq)
                     return
                 frontend_q.popleft()
@@ -516,7 +560,9 @@ class CDFPipeline(BaselinePipeline):
             frontend_q.popleft()
             self._allocate(uop, cycle)
             self.replay_frontier = seq + 1
+            allocated += 1
             budget -= 1
+        self._count_renames(allocated, crit_allocated)
 
         # Stall accounting drives the dynamic partitioning. Only stalls
         # observed while the machine is actually partitioned count: in
@@ -545,6 +591,16 @@ class CDFPipeline(BaselinePipeline):
                     sq_occupancy=self.sq_crit_used)
         elif not self.rob_crit:
             partitions.decay_all()
+
+    def _count_renames(self, allocated: int, crit_allocated: int) -> None:
+        """Bump one dispatch call's rename counters in one step."""
+        counters = self.counters
+        if allocated:
+            counters["rename_uops"] += allocated
+        if crit_allocated:
+            counters["crit_rename_uops"] += crit_allocated
+        if allocated or crit_allocated:
+            counters["rob_writes"] += allocated + crit_allocated
 
     def _allocation_block_reason(self, uop: DynUop) -> Optional[str]:
         # Physical limits first: a rebalance (or CDF-mode entry) can move
@@ -696,9 +752,6 @@ class CDFPipeline(BaselinePipeline):
         self._crit_session_seqs.add(uop.seq)
         if self.event_log is not None:
             self.event_log.append((cycle, "d", uop.seq))
-        counters = self.counters
-        counters["crit_rename_uops"] += 1
-        counters["rob_writes"] += 1
         if self.verifier is not None:
             self.verifier.on_dispatch(entry, cycle, critical=True)
         return entry
@@ -738,16 +791,6 @@ class CDFPipeline(BaselinePipeline):
             (ready, uop) for ready, uop in self.crit_fetch_buffer
             if uop.seq < seq)
         self._rename_stall_until = cycle + self.cdf_cfg.violation_flush_penalty
-
-    # -------------------------------------------------------------- issue
-    def _complete_at(self, entry: RobEntry, cycle: int,
-                     completion: int) -> None:
-        if entry.critical:
-            # Undo the baseline's shared-RS decrement and apply it to the
-            # critical share instead.
-            self.rs_crit_used -= 1
-            self.rs_used += 1
-        super()._complete_at(entry, cycle, completion)
 
     # -------------------------------------------------------------- ticking
     def _next_cycle(self, cycle: int) -> int:

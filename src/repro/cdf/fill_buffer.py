@@ -86,6 +86,16 @@ class FillBuffer:
     def clear(self) -> None:
         self._entries = []
 
+    def window_start(self, interval: int) -> int:
+        """How many retires into a fill interval recording starts.
+
+        A walk runs once *interval* retires have passed and the buffer
+        is full, and reads only the last ``capacity`` records, so any
+        earlier retire would be pushed out unread.  When the interval is
+        not longer than the buffer, every retire is recorded.
+        """
+        return interval - self.capacity
+
     def record(self, entry: FillBufferEntry) -> None:
         """Append one retired uop; oldest entries fall off the front."""
         entries = self._entries

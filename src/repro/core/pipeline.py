@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..config import SimConfig
 from ..frontend import BranchUnit
@@ -69,17 +69,11 @@ class BaselinePipeline:
         # Hook elision: resolve once whether a subclass actually overrides
         # each per-uop hook.  The base-class hooks are no-ops, so skipping
         # the call entirely is behaviour-neutral; it saves one Python call
-        # per renamed/retired/completed uop in the modes that leave a hook
-        # at its default (the baseline leaves all of them).
+        # per retired/fetched uop in the modes that leave a hook at its
+        # default (the baseline leaves all of them).
         cls = type(self)
-        self._use_is_critical = (
-            cls._is_critical is not BaselinePipeline._is_critical)
-        self._use_on_dispatch = (
-            cls._on_dispatch is not BaselinePipeline._on_dispatch)
         self._use_on_retire = (
             cls._on_retire is not BaselinePipeline._on_retire)
-        self._use_on_complete = (
-            cls._on_complete is not BaselinePipeline._on_complete)
         self._use_note_branch = (
             cls._note_branch_outcome
             is not BaselinePipeline._note_branch_outcome)
@@ -117,11 +111,17 @@ class BaselinePipeline:
         # Backend state.
         self.rob: deque = deque()
         self.inflight: Dict[int, RobEntry] = {}
-        self.ready_q: List = []          # heap of (seq, tiebreak, entry)
+        # (seq, tiebreak, entry) of READY entries, kept sorted: _issue
+        # scans it oldest-first without popping what it cannot issue.
+        self.ready_q: List = []
         self.retry_loads: List[RobEntry] = []
         self.events: List = []           # heap of (cycle, tiebreak, entry)
         self._tiebreak = 0
         self.rs_used = 0
+        # RS entries held by critical uops (CDF's critical share); an
+        # issued uop frees its entry in its own section.  The baseline
+        # never allocates a critical uop.
+        self.rs_crit_used = 0
         self.lq_used = 0
         self.sq_used = 0
         self.writers_inflight = 0
@@ -140,13 +140,6 @@ class BaselinePipeline:
         self.mispredicted_branch_seqs: List[int] = []
 
     # ------------------------------------------------------------------ hooks
-    def _is_critical(self, uop: DynUop) -> bool:
-        """Criticality marking hook; the baseline marks nothing."""
-        return False
-
-    def _on_dispatch(self, entry: RobEntry, cycle: int) -> None:
-        """Subclass hook after an entry is allocated."""
-
     def _on_retire(self, entry: RobEntry, cycle: int) -> None:
         """Subclass hook after an entry retires."""
 
@@ -251,15 +244,18 @@ class BaselinePipeline:
     # serial-vs-parallel and fingerprint tests pin this down).  Counter
     # subscripts use statically-declared keys, which simlint's STAT001
     # checks exactly like ``bump`` arguments; see docs/performance.md.
-    def _writeback(self, cycle: int) -> None:
+    def _writeback(self, cycle: int,
+                   on_complete: Optional[Callable[[RobEntry, int], None]]
+                   = None) -> None:
+        """Complete every event due by *cycle*; *on_complete*, when
+        given, is called with each completed entry."""
         events = self.events
         if not events or events[0][0] > cycle:
             return
         event_log = self.event_log
         heappop = heapq.heappop
-        heappush = heapq.heappush
+        insort = bisect.insort
         ready_q = self.ready_q
-        on_complete = self._on_complete if self._use_on_complete else None
         completed = 0
         while events and events[0][0] <= cycle:
             entry = heappop(events)[2]
@@ -281,7 +277,7 @@ class BaselinePipeline:
                         # on_complete hook below may push entries too.
                         tiebreak = self._tiebreak + 1
                         self._tiebreak = tiebreak
-                        heappush(ready_q, (waiter.seq, tiebreak, waiter))
+                        insort(ready_q, (waiter.seq, tiebreak, waiter))
                 entry.waiters = None
             if entry.seq == self.fetch_blocked_on:
                 self.fetch_blocked_on = None
@@ -294,12 +290,9 @@ class BaselinePipeline:
             counters = self.counters
             counters["wakeup_broadcasts"] += completed
 
-    def _on_complete(self, entry: RobEntry, cycle: int) -> None:
-        """Subclass hook at writeback (CDF unblocks critical fetch here)."""
-
     def _push_ready(self, entry: RobEntry) -> None:
         self._tiebreak += 1
-        heapq.heappush(self.ready_q, (entry.seq, self._tiebreak, entry))
+        bisect.insort(self.ready_q, (entry.seq, self._tiebreak, entry))
 
     def _retire(self, cycle: int) -> None:
         rob = self.rob
@@ -353,6 +346,10 @@ class BaselinePipeline:
         alu_left = self.alu_ports
         fp_left = self.fp_ports
         muldiv_left = self.muldiv_ports
+        # (entry, completion cycle) in issue order; the loop at the end
+        # completes them all.
+        issued = []
+        issue = issued.append
 
         # MSHR-full rejections are retried oldest-first. A couple of failed
         # probes per cycle is enough to learn the MSHRs are still full;
@@ -366,23 +363,30 @@ class BaselinePipeline:
                 if budget == 0 or loads_left == 0 or failed_probes >= 2:
                     still_waiting.extend(self.retry_loads[position:])
                     break
-                if self._issue_load(entry, cycle):
-                    budget -= 1
-                    loads_left -= 1
-                else:
+                completion = self._issue_load(entry, cycle)
+                if completion is None:
                     failed_probes += 1
                     still_waiting.append(entry)
+                else:
+                    issue((entry, completion))
+                    budget -= 1
+                    loads_left -= 1
             self.retry_loads = still_waiting
 
+        # Scan the ready entries oldest-first until the budget runs out.
+        # Entries this cycle cannot issue are deferred; every other
+        # scanned entry leaves the queue.
         deferred = []
         defer = deferred.append
         ready_q = self.ready_q
-        heappop = heapq.heappop
+        scanned = 0
         counters = self.counters
         conservative_mem = self.conservative_mem
         unissued_stores = self._unissued_stores
-        while ready_q and budget:
-            item = heappop(ready_q)
+        for item in ready_q:
+            if not budget:
+                break
+            scanned += 1
             entry = item[2]
             if entry.state != READY or entry.flushed:
                 continue
@@ -400,19 +404,23 @@ class BaselinePipeline:
                 if failed_probes >= 2 and not entry.forwarded:
                     self.retry_loads.append(entry)
                     continue
-                if self._issue_load(entry, cycle):
-                    loads_left -= 1
-                    budget -= 1
-                else:
+                completion = self._issue_load(entry, cycle)
+                if completion is None:
                     failed_probes += 1
                     self.retry_loads.append(entry)
-                    budget -= 1    # the slot was consumed by the attempt
+                else:
+                    issue((entry, completion))
+                    loads_left -= 1
+                budget -= 1    # a rejected attempt consumes the slot too
                 continue
             if uop.is_store:
                 if stores_left == 0:
                     defer(item)
                     continue
                 stores_left -= 1
+                if conservative_mem:
+                    # Its address is known now: younger loads may pass.
+                    unissued_stores.remove(entry.seq)
             else:
                 # Loads/stores were handled above, so exec_class here is
                 # exactly one of 'alu' / 'fp' / 'muldiv'.
@@ -432,95 +440,116 @@ class BaselinePipeline:
                         defer(item)
                         continue
                     muldiv_left -= 1
-            self._complete_at(entry, cycle, cycle + uop.exec_lat)
+            issue((entry, cycle + uop.exec_lat))
             budget -= 1
-        for item in deferred:
-            heapq.heappush(ready_q, item)
+        # The deferred entries sort before every unscanned one.
+        ready_q[:scanned] = deferred
+        if not issued:
+            return
 
-    def _issue_load(self, entry: RobEntry, cycle: int) -> bool:
-        """Issue one load to the memory system; False if MSHRs rejected it."""
-        uop = entry.uop
+        # Completion: schedule each issued uop's writeback.  Selection
+        # above reads none of the state this writes (a store leaves the
+        # conservative store list at its issue site), so completing
+        # after selection leaves every result unchanged.
+        verifier = self.verifier
+        event_log = self.event_log
+        events = self.events
+        heappush = heapq.heappush
+        tiebreak = self._tiebreak
+        prf_reads = prf_writes = lq_searches = critical = 0
+        for entry, completion in issued:
+            if verifier is not None:
+                verifier.on_issue(entry, cycle)
+            entry.state = ISSUED
+            complete_cycle = completion if completion > cycle else cycle + 1
+            entry.complete_cycle = complete_cycle
+            uop = entry.uop
+            prf_reads += len(uop.srcs)
+            if uop.writes_reg:
+                prf_writes += 1
+            if uop.is_store:
+                lq_searches += 1
+            if entry.critical:
+                critical += 1
+            tiebreak += 1
+            if event_log is not None:
+                event_log.append((cycle, "I", entry.seq))
+            heappush(events, (complete_cycle, tiebreak, entry))
+        self._tiebreak = tiebreak
+        self.rs_used -= len(issued) - critical
+        if critical:
+            self.rs_crit_used -= critical
+        counters["prf_reads"] += prf_reads
+        if prf_writes:
+            counters["prf_writes"] += prf_writes
+        if lq_searches:
+            counters["lq_searches"] += lq_searches
+
+    def _issue_load(self, entry: RobEntry, cycle: int) -> Optional[int]:
+        """Send one load to the memory system; returns its completion
+        cycle, or None if the MSHRs rejected it."""
         counters = self.counters
         counters["sq_searches"] += 1
         if entry.forwarded:
-            completion = cycle + self.l1d_latency
             counters["store_forwards"] += 1
-            self._complete_at(entry, cycle, completion)
-            return True
-        result = self.mem.load(cycle, uop.mem_addr,
-                               source=self._load_source(entry))
+            return cycle + self.l1d_latency
+        result = self.mem.load(cycle, entry.uop.mem_addr, source="demand")
         if result is None:
-            return False
+            return None
         if result.llc_miss:
             entry.llc_miss = True
             self.llc_miss_load_seqs.append(entry.seq)
             counters["llc_miss_loads"] += 1
-        self._complete_at(entry, cycle, result.completion)
-        return True
-
-    def _load_source(self, entry: RobEntry) -> str:
-        return "demand"
-
-    def _complete_at(self, entry: RobEntry, cycle: int, completion: int) -> None:
-        if self.verifier is not None:
-            self.verifier.on_issue(entry, cycle)
-        entry.state = ISSUED
-        entry.issue_cycle = cycle
-        entry.complete_cycle = max(completion, cycle + 1)
-        self.rs_used -= 1
-        uop = entry.uop
-        counters = self.counters
-        counters["prf_reads"] += len(uop.srcs)
-        if uop.writes_reg:
-            counters["prf_writes"] += 1
-        if uop.is_store:
-            counters["lq_searches"] += 1
-            if self.conservative_mem:
-                self._unissued_stores.remove(entry.seq)
-        self._tiebreak += 1
-        if self.event_log is not None:
-            self.event_log.append((cycle, "I", entry.seq))
-        heapq.heappush(self.events,
-                       (entry.complete_cycle, self._tiebreak, entry))
+        return result.completion
 
     # ------------------------------------------------------------------ dispatch
     def _dispatch(self, cycle: int) -> None:
         budget = self.rename_width
-        self._dispatch_blocked = None
+        blocked: Optional[str] = None
         frontend_q = self.frontend_q
+        rob = self.rob
+        rob_size = self.rob_size
+        rs_size = self.rs_size
+        allocated = 0
         while budget and frontend_q:
             head = frontend_q[0]
             if head[0] > cycle:
                 break
             uop = head[1]
-            reason = self._allocation_block_reason(uop)
-            if reason is not None:
-                self._dispatch_blocked = reason
+            # The allocation gate, in line: the first full structure
+            # blocks rename.
+            if len(rob) >= rob_size:
+                blocked = "rob"
+                break
+            if self.rs_used >= rs_size:
+                blocked = "rs"
+                break
+            if uop.is_load and self.lq_used >= self.lq_size:
+                blocked = "lq"
+                break
+            if uop.is_store and self.sq_used >= self.sq_size:
+                blocked = "sq"
+                break
+            if uop.writes_reg \
+                    and self.writers_inflight >= self.prf_writers_limit:
+                blocked = "prf"
                 break
             frontend_q.popleft()
             self._allocate(uop, cycle)
+            allocated += 1
             budget -= 1
-        if self._dispatch_blocked is not None:
-            self._account_stall(cycle, self._dispatch_blocked, 1)
-
-    def _allocation_block_reason(self, uop: DynUop) -> Optional[str]:
-        if len(self.rob) >= self.rob_size:
-            return "rob"
-        if self.rs_used >= self.rs_size:
-            return "rs"
-        if uop.is_load and self.lq_used >= self.lq_size:
-            return "lq"
-        if uop.is_store and self.sq_used >= self.sq_size:
-            return "sq"
-        if uop.writes_reg and self.writers_inflight >= self.prf_writers_limit:
-            return "prf"
-        return None
+        self._dispatch_blocked = blocked
+        if allocated:
+            counters = self.counters
+            counters["rename_uops"] += allocated
+            counters["rob_writes"] += allocated
+        if blocked is not None:
+            self._account_stall(cycle, blocked, 1)
 
     def _allocate(self, uop: DynUop, cycle: int) -> RobEntry:
-        entry = RobEntry(
-            uop,
-            critical=self._is_critical(uop) if self._use_is_critical
-            else False)
+        """Rename *uop* into the ROB; the caller holds the allocation
+        gate and counts the renames."""
+        entry = RobEntry(uop)
         if uop.seq in self._mispredicted_seqs:
             entry.mispredicted = True
             self._mispredicted_seqs.discard(uop.seq)
@@ -548,7 +577,7 @@ class BaselinePipeline:
             # _push_ready, inlined.
             tiebreak = self._tiebreak + 1
             self._tiebreak = tiebreak
-            heapq.heappush(self.ready_q, (entry.seq, tiebreak, entry))
+            bisect.insort(self.ready_q, (entry.seq, tiebreak, entry))
         if self.conservative_mem and uop.is_store:
             bisect.insort(self._unissued_stores, uop.seq)
         self.rob.append(entry)
@@ -560,13 +589,8 @@ class BaselinePipeline:
             self.sq_used += 1
         if uop.writes_reg:
             self.writers_inflight += 1
-        counters = self.counters
-        counters["rename_uops"] += 1
-        counters["rob_writes"] += 1
         if self.event_log is not None:
             self.event_log.append((cycle, "D", uop.seq))
-        if self._use_on_dispatch:
-            self._on_dispatch(entry, cycle)
         if self.verifier is not None:
             self.verifier.on_dispatch(entry, cycle, critical=False)
         return entry

@@ -22,7 +22,7 @@ class RobEntry:
     """One in-flight uop with its scheduling state."""
 
     __slots__ = ("uop", "seq", "state", "pending", "waiters",
-                 "complete_cycle", "issue_cycle", "critical", "forwarded",
+                 "complete_cycle", "critical", "forwarded",
                  "llc_miss", "mispredicted", "flushed", "poisoned")
 
     def __init__(self, uop: DynUop, critical: bool = False) -> None:
@@ -32,7 +32,6 @@ class RobEntry:
         self.pending = 0
         self.waiters: Optional[List["RobEntry"]] = None
         self.complete_cycle = -1
-        self.issue_cycle = -1
         self.critical = critical
         self.forwarded = False       # load satisfied by store forwarding
         self.llc_miss = False        # load went to DRAM (trains the CCT)

@@ -80,7 +80,7 @@ PROFILE_REPORT = "BENCH_profile.json"
 #: the flat hotspot list.
 STAGE_METHODS: Tuple[str, ...] = (
     "run", "_next_cycle", "_fetch", "_dispatch", "_allocate",
-    "_issue", "_issue_load", "_writeback", "_complete_at", "_retire",
+    "_issue", "_issue_load", "_writeback", "_retire",
 )
 
 #: The pinned micro-suite: one mode per workload, covering all three

@@ -61,6 +61,8 @@ class PREPipeline(BaselinePipeline):
                                           cdf.uops_per_trace)
         self._retired_since_fill = 0
         self._retired_since_mask_reset = 0
+        self._record_from = self.fill_buffer.window_start(
+            cdf.fill_interval_uops)
         self._rng = random.Random(config.seed)
 
         self.in_runahead = False
@@ -121,11 +123,11 @@ class PREPipeline(BaselinePipeline):
 
     # -------------------------------------------------------- slice training
     def _on_retire(self, entry: RobEntry, cycle: int) -> None:
-        uop = entry.uop
         cdf = self.config.cdf
-        root_critical = uop.is_load and uop.pc in self.sst
-        self.fill_buffer.record_uop(uop, self.bb_start[uop.pc],
-                                    root_critical)
+        if self._retired_since_fill >= self._record_from:
+            uop = entry.uop
+            self.fill_buffer.record_uop(uop, self.bb_start[uop.pc],
+                                        uop.is_load and uop.pc in self.sst)
         self._retired_since_fill += 1
         self._retired_since_mask_reset += 1
         if self._retired_since_mask_reset >= cdf.mask_cache_reset_interval:

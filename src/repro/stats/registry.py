@@ -138,7 +138,7 @@ COUNTERS: Dict[str, str] = {
 #: runtime validator checks concrete keys against).
 DYNAMIC_COUNTERS: Dict[str, str] = {
     # per-resource dispatch-stall breakdown (core.pipeline._account_stall;
-    # reasons from _allocation_block_reason plus the CDF pipeline's
+    # reasons from the dispatch gates plus the CDF pipeline's
     # cmq_wait back-pressure state)
     "dispatch_stall_{}_cycles":
         r"dispatch_stall_(rob|rs|lq|sq|prf|cmq_wait)_cycles",

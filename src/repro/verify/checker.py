@@ -59,7 +59,7 @@ class PipelineVerifier:
         self.scan_interval = max(1, scan_interval)
         self.pipeline: Any = None
         self._dual = False          # has a partitioned (critical) ROB
-        self._last_retired_seq = -1
+        self._prev_retired_seq = -1
         self._last_scan_cycle = 0
 
     # ------------------------------------------------------------------
@@ -177,10 +177,10 @@ class PipelineVerifier:
         """Commit-time invariants, then the differential oracle."""
         p = self.pipeline
         p.counters.bump("verify_retired_uops")
-        if entry.seq <= self._last_retired_seq:
+        if entry.seq <= self._prev_retired_seq:
             self._fail("retire_order",
                        f"seq {entry.seq} retired after seq "
-                       f"{self._last_retired_seq} (program order "
+                       f"{self._prev_retired_seq} (program order "
                        f"requires strictly increasing seqs)", cycle,
                        entry.seq)
         if entry.flushed:
@@ -194,7 +194,7 @@ class PipelineVerifier:
             self._fail("retire_before_complete",
                        f"retired at cycle {cycle} but completes at "
                        f"{entry.complete_cycle}", cycle, entry.seq)
-        self._last_retired_seq = entry.seq
+        self._prev_retired_seq = entry.seq
         if self.oracle is not None:
             p.counters.bump("verify_oracle_uops")
             self.oracle.on_retire(entry.uop, cycle)

@@ -144,6 +144,38 @@ def test_time001_accepts_cycleish_heap_timestamp():
     """)
 
 
+def test_time001_sees_through_aliased_event_heap():
+    # The shape of _issue's completion loop: local aliases of the heap
+    # and of heappush, one push per issued uop.
+    hits = findings("TIME001", """
+        import heapq
+
+        class Core:
+            def complete(self, issued):
+                events = self.events
+                heappush = heapq.heappush
+                for tiebreak, entry in issued:
+                    heappush(events, (0, tiebreak, entry))
+    """)
+    assert len(hits) == 1
+
+
+def test_time001_accepts_cycle_clamped_completion_through_aliases():
+    assert not findings("TIME001", """
+        import heapq
+
+        class Core:
+            def complete(self, cycle, issued):
+                events = self.events
+                heappush = heapq.heappush
+                tiebreak = self._tiebreak
+                for entry, completion in issued:
+                    done = completion if completion > cycle else cycle + 1
+                    tiebreak += 1
+                    heappush(events, (done, tiebreak, entry))
+    """)
+
+
 def test_time001_sees_through_method_alias():
     hits = findings("TIME001", """
         class Core:
@@ -238,6 +270,39 @@ def test_grd001_allocator_excused_when_all_callers_gated():
             def _allocate(self, uop):
                 self.rob.append(uop)
     """)
+
+
+def test_grd001_allocator_excused_by_inline_gate():
+    # The base _dispatch shape: each structure tested in line before
+    # the allocator runs.
+    assert not findings("GRD001", """
+        class Pipe:
+            def dispatch(self, uop):
+                if len(self.rob) >= self.rob_size:
+                    return
+                if self.rs_used >= self.rs_size:
+                    return
+                self._allocate(uop)
+
+            def _allocate(self, uop):
+                self.rob.append(uop)
+                self.rs_used += 1
+    """)
+
+
+def test_grd001_flags_inline_gate_missing_a_structure():
+    hits = findings("GRD001", """
+        class Pipe:
+            def dispatch(self, uop):
+                if self.rs_used >= self.rs_size:
+                    return
+                self._allocate(uop)
+
+            def _allocate(self, uop):
+                self.rob.append(uop)
+                self.rs_used += 1
+    """)
+    assert len(hits) == 1 and "ROB" in hits[0].message
 
 
 def test_grd001_flags_ungated_allocator_caller():

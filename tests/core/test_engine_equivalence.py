@@ -1,11 +1,17 @@
-"""Span skipping in the cycle loop is exact.
+"""Span skipping and stage routing in the cycle loop are exact.
 
 ``run()`` jumps spans in which nothing can happen: the base scheduler
 jumps idle spans, and ``CDFPipeline._next_cycle`` also jumps CDF mode's
 quiet stall spans, adding the per-cycle counters for the cycles it
 skips.  Ticking through those spans instead must leave every result
 unchanged except the counters that count ticks.
+
+While CDF is regular-only, ``CDFPipeline`` runs the base ``_dispatch``
+and ``_retire``.  Running its general stages instead must leave every
+result unchanged, tick counters included.
 """
+
+import functools
 
 import pytest
 
@@ -76,6 +82,37 @@ class TickingCDFPipeline(CDFPipeline):
         return BaselinePipeline._next_cycle(self, cycle)
 
 
+class GeneralCDFPipeline(CDFPipeline):
+    """Reference: never regular-only, so every CDF stage runs its
+    general code."""
+
+    def _regular_only(self, cycle):
+        return False
+
+
+class RoutingProbe(CDFPipeline):
+    """Counts the stage calls that took the regular-only route."""
+
+    routed_calls = 0
+
+    def _regular_only(self, cycle):
+        routed = super()._regular_only(cycle)
+        RoutingProbe.routed_calls += routed
+        return routed
+
+
+@functools.lru_cache(maxsize=None)
+def probed_fuzz_case(seed):
+    """One CDF fuzz case at verify level 2 with the oracle, through
+    :class:`RoutingProbe`: its result and how many stage calls took the
+    regular-only route.  Shared by the span-skip and routing tests."""
+    before = RoutingProbe.routed_calls
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(campaign, "CDFPipeline", RoutingProbe)
+        result = campaign.run_fuzz_case(seed, modes=("cdf",)).results["cdf"]
+    return result, RoutingProbe.routed_calls - before
+
+
 def test_ticking_every_cycle_changes_only_idle_skipped_cycles():
     plain = BaselinePipeline(small_trace(), SimConfig.baseline(),
                              benchmark="every-cycle")
@@ -98,7 +135,7 @@ def test_ticking_every_cycle_changes_only_idle_skipped_cycles():
 def test_cdf_span_skip_matches_per_cycle_ticking_on_fuzz(seed, monkeypatch):
     """Oracle and level-2 invariants on, so a skipped span that hid a
     state change would also trip the verifier on the skipping side."""
-    skipped = campaign.run_fuzz_case(seed, modes=("cdf",)).results["cdf"]
+    skipped, _ = probed_fuzz_case(seed)
     monkeypatch.setattr(campaign, "CDFPipeline", TickingCDFPipeline)
     ticked = campaign.run_fuzz_case(seed, modes=("cdf",)).results["cdf"]
     assert without_tick_counters(skipped) == without_tick_counters(ticked)
@@ -116,3 +153,36 @@ def test_cdf_span_skip_matches_per_cycle_ticking_on_memory_bound_mcf(
         > ticked.counters["idle_skipped_cycles"], (
         "CDF mode's quiet stall spans must be skipped")
     assert without_tick_counters(skipped) == without_tick_counters(ticked)
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_regular_only_stages_match_the_general_cdf_path_on_fuzz(
+        seed, monkeypatch):
+    """Oracle and level-2 invariants on, on both sides."""
+    routed, routed_calls = probed_fuzz_case(seed)
+    monkeypatch.setattr(campaign, "CDFPipeline", GeneralCDFPipeline)
+    general = campaign.run_fuzz_case(seed, modes=("cdf",)).results["cdf"]
+    assert routed_calls > 0
+    assert routed.to_dict() == general.to_dict()
+
+
+@pytest.mark.parametrize("overrides, routes", [
+    ({"dynamic_partitioning": False}, False),
+    ({"non_critical_uop_cache": True}, True),
+], ids=["static-partitioning", "nc-uop-cache"])
+def test_regular_only_stages_match_the_general_cdf_path_on_mcf(
+        overrides, routes, monkeypatch):
+    """Static partitions never decay to zero, so that ablation must
+    never take the regular-only route."""
+    config = SimConfig.with_cdf()
+    for name, value in overrides.items():
+        setattr(config.cdf, name, value)
+    before = RoutingProbe.routed_calls
+    monkeypatch.setattr(runner, "CDFPipeline", RoutingProbe)
+    routed = run_benchmark("mcf", "cdf", scale=0.3, config=config)
+    routed_calls = RoutingProbe.routed_calls - before
+    monkeypatch.setattr(runner, "CDFPipeline", GeneralCDFPipeline)
+    general = run_benchmark("mcf", "cdf", scale=0.3, config=config)
+    assert routed.counters["cdf_mode_cycles"] > 0
+    assert (routed_calls > 0) == routes
+    assert routed.to_dict() == general.to_dict()
