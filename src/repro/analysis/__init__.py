@@ -3,17 +3,14 @@
 The experiment engine's content-addressed result cache (PR 1) is only
 sound if every simulation is a pure, deterministic function of
 (workload, scale, seed, SimConfig, code).  This package machine-checks
-the bug classes that silently break that contract, in two tiers:
-
-* **syntactic** rules (DET/CFG/STAT/NUM/ARCH/API001) pattern-match a
-  single module's AST — unseeded RNG, hash-order iteration,
-  caller-config mutation, wall-clock leakage, typo'd counter keys,
-  float drift, layering violations, mutable default arguments;
-* **dataflow** rules (PUR001/TIME001/CONC001/GRD001/API002) run a
-  per-function CFG + reaching-definitions/guard-dominance analysis and
-  a project-wide call graph — level-gating purity, cycle monotonicity,
-  process safety, capacity-guarded growth, pipeline paradigm
-  conformance.
+the bug classes that silently break that contract.  Its eight rules
+(DET001-003, CFG001, STAT001, NUM001, ARCH001, API001) pattern-match a
+single module's AST: unseeded RNG, hash-order iteration, wall-clock
+leakage, caller-config mutation, typo'd counter keys, float drift,
+layering violations and mutable default arguments.  Timing, level
+gating, capacity and process-sharing bugs are left to the runtime
+gates (fingerprint pins, the invariant checker and the differential
+oracle), which catch them by their effect on results.
 
 Entry points::
 
@@ -24,12 +21,9 @@ See ``docs/analysis.md`` for the rule catalogue, suppression syntax
 (``# simlint: disable=RULEID``) and the baseline workflow.
 """
 
-from .core import Directive, Finding, LintContext, ProjectRule, Rule, \
+from .core import Directive, Finding, LintContext, Rule, \
     parse_suppressions
 from .baseline import Baseline
-from .cfg import build_cfg
-from .dataflow import FunctionAnalysis, analyze_function
-from .callgraph import ProjectContext, build_project
 from .rules import ALL_RULES, rule_by_id
 from .runner import LintReport, UnusedSuppression, lint_paths, \
     lint_source, main
@@ -39,16 +33,10 @@ __all__ = [
     "Baseline",
     "Directive",
     "Finding",
-    "FunctionAnalysis",
     "LintContext",
     "LintReport",
-    "ProjectContext",
-    "ProjectRule",
     "Rule",
     "UnusedSuppression",
-    "analyze_function",
-    "build_cfg",
-    "build_project",
     "lint_paths",
     "lint_source",
     "main",

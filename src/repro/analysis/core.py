@@ -26,17 +26,12 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, \
-    Set, Tuple
-
-if TYPE_CHECKING:                                   # pragma: no cover
-    from .callgraph import ProjectContext
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 __all__ = [
     "Directive",
     "Finding",
     "LintContext",
-    "ProjectRule",
     "Rule",
     "Suppressions",
     "parse_suppressions",
@@ -270,41 +265,6 @@ class Rule:
             end_line = finding.end_line or finding.line
             if ctx.suppressions.is_suppressed(self.id, finding.line,
                                               end_line):
-                suppressed += 1
-            else:
-                active.append(finding)
-        return active, suppressed
-
-
-class ProjectRule(Rule):
-    """A rule over the *whole* linted file set, not one module.
-
-    Per-file rules see one AST; project rules (reachability, caller
-    audits, inheritance contracts) get a
-    :class:`~repro.analysis.callgraph.ProjectContext` indexing every
-    linted module.  Findings still land in individual files, so the
-    per-file suppression directives apply unchanged.
-    """
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        """Project rules contribute nothing in the per-file pass."""
-        return iter(())
-
-    def check_project(self,
-                      project: "ProjectContext") -> Iterator[Finding]:
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def run_project(self, project: "ProjectContext"
-                    ) -> Tuple[List[Finding], int]:
-        """Apply over the project; per-file suppressions still count."""
-        active: List[Finding] = []
-        suppressed = 0
-        for finding in self.check_project(project):
-            ctx = project.by_relpath.get(finding.path)
-            end_line = finding.end_line or finding.line
-            if ctx is not None and ctx.suppressions.is_suppressed(
-                    self.id, finding.line, end_line):
                 suppressed += 1
             else:
                 active.append(finding)

@@ -669,15 +669,6 @@ class MutableDefaultRule(Rule):
 
 # --------------------------------------------------------------------------
 
-# Tier-2 dataflow rules (CFG + reaching-defs + guard dominance; see
-# docs/analysis.md "Dataflow rules").  Imported at the bottom so the
-# syntactic rules above stay dependency-free.
-from .rules_capacity import GuardedCapacityRule        # noqa: E402
-from .rules_paradigm import ParadigmConformanceRule    # noqa: E402
-from .rules_process import ProcessSafetyRule           # noqa: E402
-from .rules_purity import LevelGatingPurityRule        # noqa: E402
-from .rules_timing import CycleMonotonicityRule        # noqa: E402
-
 ALL_RULES = (
     UnseededRandomRule(),
     SetIterationRule(),
@@ -687,12 +678,6 @@ ALL_RULES = (
     FloatIntoCounterRule(),
     ImportLayeringRule(),
     MutableDefaultRule(),
-    # dataflow tier
-    LevelGatingPurityRule(),
-    CycleMonotonicityRule(),
-    ProcessSafetyRule(),
-    GuardedCapacityRule(),
-    ParadigmConformanceRule(),
 )
 
 

@@ -4,11 +4,8 @@
 test calls it directly); ``main`` backs both ``python -m repro.analysis``
 and the ``repro-sim lint`` subcommand.
 
-v2 drives two rule tiers: per-file syntactic rules run module by
-module; :class:`~repro.analysis.core.ProjectRule` subclasses run once
-over a :class:`~repro.analysis.callgraph.ProjectContext` built from
-every parsed file.  The runner also tracks per-rule wall time (printed
-with ``--timings``; the CI lint job budgets the total) and
+Every rule runs module by module.  The runner also tracks per-rule wall
+time (printed with ``--timings``; the CI lint job budgets the total) and
 unused-suppression warnings (directives that no longer suppress any
 finding of a rule that ran).
 """
@@ -25,9 +22,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .baseline import Baseline
-from .callgraph import build_project
-from .core import Finding, LintContext, ProjectRule, Rule, \
-    module_name_for, parse_suppressions
+from .core import Finding, LintContext, Rule, module_name_for, \
+    parse_suppressions
 from .report import render_json, render_sarif, render_text
 from .rules import ALL_RULES, rule_by_id
 
@@ -111,20 +107,13 @@ def lint_source(source: str, rules: Optional[Sequence[Rule]] = None,
                 path: str = "<snippet>") -> Tuple[List[Finding], int]:
     """Lint an in-memory snippet (the rule-fixture tests use this).
 
-    Project rules see a single-file project.  Returns
-    (findings, suppressed_count).
+    Returns (findings, suppressed_count).
     """
     ctx = build_context(Path(path), source, module=module)
     active: List[Finding] = []
     suppressed = 0
-    project = None
     for rule in (rules if rules is not None else ALL_RULES):
-        if isinstance(rule, ProjectRule):
-            if project is None:
-                project = build_project([ctx])
-            found, hidden = rule.run_project(project)
-        else:
-            found, hidden = rule.run(ctx)
+        found, hidden = rule.run(ctx)
         active.extend(found)
         suppressed += hidden
     active.sort(key=Finding.sort_key)
@@ -135,21 +124,22 @@ def lint_paths(paths: Sequence[Path],
                rules: Optional[Sequence[Rule]] = None,
                baseline: Optional[Baseline] = None,
                root: Optional[Path] = None,
-               report_only: Optional[Sequence[Path]] = None
+               only: Optional[Sequence[Path]] = None
                ) -> LintReport:
     """Lint files/directories; returns a :class:`LintReport`.
 
-    With *report_only* (the ``--changed`` path set), every file under
-    *paths* is still parsed — project rules need the whole call graph —
-    but per-file rules run, and findings/warnings are reported, only
-    for the listed files.
+    With *only* (the ``--changed`` path set), just the listed files
+    under *paths* are parsed and checked.
     """
     chosen = list(rules) if rules is not None else list(ALL_RULES)
     files = iter_python_files(paths)
     if root is None and len(paths) == 1 and paths[0].is_dir():
         root = paths[0].parent
+    if only is not None:
+        wanted = {p.resolve() for p in only}
+        files = [f for f in files if f.resolve() in wanted]
     report = LintReport()
-    contexts: List[LintContext] = []
+    checked: List[LintContext] = []
     for file_path in files:
         try:
             source = file_path.read_text(encoding="utf-8")
@@ -157,19 +147,10 @@ def lint_paths(paths: Sequence[Path],
         except (SyntaxError, UnicodeDecodeError) as exc:
             report.parse_errors.append(f"{file_path}: {exc}")
             continue
-        contexts.append(ctx)
-    restrict: Optional[List[str]] = None
-    if report_only is not None:
-        wanted = {p.resolve().as_posix() for p in report_only}
-        restrict = [ctx.relpath for ctx in contexts
-                    if ctx.path.resolve().as_posix() in wanted]
-    checked = [ctx for ctx in contexts
-               if restrict is None or ctx.relpath in restrict]
+        checked.append(ctx)
     report.files_checked = len(checked)
 
-    file_rules = [r for r in chosen if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in chosen if isinstance(r, ProjectRule)]
-    for rule in file_rules:
+    for rule in chosen:
         start = time.perf_counter()
         for ctx in checked:
             found, hidden = rule.run(ctx)
@@ -178,18 +159,6 @@ def lint_paths(paths: Sequence[Path],
         report.rule_seconds[rule.id] = \
             report.rule_seconds.get(rule.id, 0.0) + \
             (time.perf_counter() - start)
-    if project_rules:
-        project = build_project(contexts)
-        for rule in project_rules:
-            start = time.perf_counter()
-            found, hidden = rule.run_project(project)
-            if restrict is not None:
-                found = [f for f in found if f.path in restrict]
-            report.findings.extend(found)
-            report.suppressed += hidden
-            report.rule_seconds[rule.id] = \
-                report.rule_seconds.get(rule.id, 0.0) + \
-                (time.perf_counter() - start)
     report.findings.sort(key=Finding.sort_key)
 
     ran_ids = [rule.id for rule in chosen]
@@ -279,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sim lint",
         description="simlint: determinism/config/counter static analysis "
-                    "plus CFG/dataflow semantic rules for the simulator "
-                    "(see docs/analysis.md)")
+                    "for the simulator (see docs/analysis.md)")
     parser.add_argument(
         "paths", nargs="*", type=Path,
         help="files or directories to lint (default: the repro package)")
@@ -343,11 +311,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     paths = args.paths or [default_lint_root()]
 
-    report_only: Optional[List[Path]] = None
+    only: Optional[List[Path]] = None
     if args.changed is not None:
         ref = args.changed or None
-        report_only = changed_files(ref, paths)
-        if report_only is None:
+        only = changed_files(ref, paths)
+        if only is None:
             print("simlint: --changed requires a git checkout with a "
                   "resolvable ref (origin/main, main, or HEAD)",
                   file=sys.stderr)
@@ -358,8 +326,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("--write-baseline requires --baseline FILE",
                   file=sys.stderr)
             return 2
-        report = lint_paths(paths, rules=rules,
-                            report_only=report_only)
+        report = lint_paths(paths, rules=rules, only=only)
         Baseline.from_findings(report.findings).dump(args.baseline)
         print(f"wrote {len(report.findings)} finding(s) to "
               f"{args.baseline}")
@@ -369,7 +336,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.baseline is not None and args.baseline.exists():
         baseline = Baseline.load(args.baseline)
     report = lint_paths(paths, rules=rules, baseline=baseline,
-                        report_only=report_only)
+                        only=only)
     chosen = rules if rules is not None else list(ALL_RULES)
     if args.sarif_out is not None:
         args.sarif_out.write_text(render_sarif(report, chosen),

@@ -91,7 +91,8 @@ def code_salt() -> str:
     change any result) silently invalidates the whole cache instead of
     serving stale numbers.
     """
-    global _code_salt_cache  # simlint: disable=CONC001 pure digest of on-disk code, identical in every process
+    # A pure digest of on-disk code, identical in every process.
+    global _code_salt_cache
     if _code_salt_cache is None:
         root = pathlib.Path(__file__).resolve().parent.parent
         digest = hashlib.sha256(ENGINE_CACHE_VERSION.encode())

@@ -52,7 +52,8 @@ def workload_cache_capacity() -> int:
     — the same degrade-don't-die contract as ``REPRO_STRICT=0``
     (see :mod:`repro.stats.registry`).
     """
-    global _warned_bad_workload_cache  # simlint: disable=CONC001 warn-once latch, process-local by design
+    # A warn-once latch, process-local by design.
+    global _warned_bad_workload_cache
     raw = os.environ.get(WORKLOAD_CACHE_ENV)
     if raw is None:
         return DEFAULT_WORKLOAD_CACHE
@@ -80,10 +81,12 @@ def load_workload(name: str, scale: float = 1.0,
     functional execution — engine worker processes never re-run the
     functional model for a trace any process has built before.
     """
+    # Workloads are built deterministically, so sharing one within a
+    # worker process cannot change a result.
     key = (name, scale, seed)
     workload = _workload_cache.get(key)
     if workload is not None:
-        _workload_cache.move_to_end(key)  # simlint: disable=CONC001 LRU memo of deterministically built workloads
+        _workload_cache.move_to_end(key)
         return workload
     workload = get_workload(name, scale=scale, seed=seed)
     if trace_store_enabled():
@@ -91,9 +94,9 @@ def load_workload(name: str, scale: float = 1.0,
         workload.trace_loader = lambda: store.get(name, scale, seed)
         workload.trace_saver = \
             lambda trace: store.put(name, scale, seed, trace)
-    _workload_cache[key] = workload  # simlint: disable=CONC001 LRU memo of deterministically built workloads
+    _workload_cache[key] = workload
     while len(_workload_cache) > workload_cache_capacity():
-        _workload_cache.popitem(last=False)  # simlint: disable=CONC001 LRU eviction of the same memo
+        _workload_cache.popitem(last=False)
     return workload
 
 

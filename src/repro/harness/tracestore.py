@@ -64,7 +64,8 @@ def trace_salt() -> str:
     (kernel generators).  Timing-model edits leave the salt unchanged —
     compiled traces deliberately outlive them.
     """
-    global _trace_salt_cache  # simlint: disable=CONC001 pure digest of on-disk code, identical in every process
+    # A pure digest of on-disk code, identical in every process.
+    global _trace_salt_cache
     if _trace_salt_cache is None:
         root = pathlib.Path(__file__).resolve().parent.parent
         digest = hashlib.sha256(
@@ -193,7 +194,8 @@ def get_trace_store() -> TraceStore:
     Re-rooted automatically whenever ``$REPRO_CACHE_DIR`` changes, so
     tests that repoint the cache directory get a matching store.
     """
-    global _default_store  # simlint: disable=CONC001 store handle derived only from $REPRO_CACHE_DIR
+    # The store handle derives only from $REPRO_CACHE_DIR.
+    global _default_store
     from .engine import default_cache_dir
     root = default_cache_dir() / "traces"
     if _default_store is None or _default_store.root != root:

@@ -169,7 +169,8 @@ def is_known(key: str) -> bool:
         return True
     for pattern in _DYNAMIC_PATTERNS:
         if pattern.fullmatch(key):
-            KNOWN_KEYS.add(key)  # simlint: disable=CONC001 monotonic memo; is_known stays a pure function of key
+            # A monotonic memo: is_known stays a pure function of key.
+            KNOWN_KEYS.add(key)
             return True
     return False
 
@@ -191,4 +192,5 @@ def validate_key(key: str) -> None:
     if _strict():
         raise UnknownCounterError(message)
     warnings.warn(message, stacklevel=3)
-    KNOWN_KEYS.add(key)      # simlint: disable=CONC001 non-strict warn-once memo, never enabled under the engine
+    # A non-strict warn-once memo, never enabled under the engine.
+    KNOWN_KEYS.add(key)

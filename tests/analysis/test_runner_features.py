@@ -1,4 +1,4 @@
-"""simlint v2 runner features: unused-suppression warnings, --changed,
+"""simlint runner features: unused-suppression warnings, --changed,
 SARIF output, per-rule timings, and the --rule alias."""
 
 import json
@@ -179,6 +179,16 @@ def test_cli_changed_limits_findings_to_changed_files(git_repo, capsys):
     assert main(["--changed", "HEAD", str(git_repo)]) == 1
     out = capsys.readouterr().out
     assert "new.py" in out and "old.py" not in out
+
+
+def test_cli_changed_parses_only_changed_files(git_repo, capsys):
+    # a committed file that no longer parses is not even read
+    (git_repo / "old.py").write_text("def broken(:\n")
+    subprocess.run(["git", "commit", "-qam", "broken"], cwd=git_repo,
+                   check=True, capture_output=True)
+    (git_repo / "new.py").write_text("y = 1\n")
+    assert main(["--changed", "HEAD", str(git_repo)]) == 0
+    assert "1 file(s) checked" in capsys.readouterr().out
 
 
 def test_cli_changed_errors_cleanly_outside_git(tmp_path, capsys):

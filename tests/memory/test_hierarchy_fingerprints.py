@@ -32,6 +32,11 @@ no CDF-mode timing.  ``CDF_MODE_PINS`` covers that: the same kernels'
 CDF runs at scale 0.3, where CDF mode is active after warm-up (each
 test asserts it).  Re-pin them with ``mode="cdf"`` and
 ``scale=CDF_MODE_SCALE`` in the loop above.
+
+Likewise the PRE runs at 0.05 issue no runahead uop or prefetch, so
+``PRE_RUNAHEAD_PINS`` pins the same kernels' PRE runs at scale 0.3,
+where runahead issues prefetches (each test asserts it).  Re-pin them
+with ``mode="pre"`` and ``scale=PRE_RUNAHEAD_SCALE`` in the loop above.
 """
 
 import pytest
@@ -67,6 +72,15 @@ CDF_MODE_PINS = {
 
 CDF_MODE_SCALE = 0.3
 
+PRE_RUNAHEAD_PINS = {
+    "astar":
+        "10c31a1aa3811867316a96001a0c8e7c20c967d66711bf3054fb471dcdb36035",
+    "mcf":
+        "7ac3679645d9afa4e457ae4ca8a41a0bf86a34e03dea6074fbc18054eaa32623",
+}
+
+PRE_RUNAHEAD_SCALE = 0.3
+
 
 @pytest.mark.parametrize("name,mode", sorted(PINS))
 def test_pinned_fingerprint(name, mode):
@@ -91,6 +105,17 @@ def test_pinned_cdf_mode_fingerprint(name):
         f"the pin would not cover CDF-mode timing")
     assert result.fingerprint() == CDF_MODE_PINS[name], (
         f"{name}/cdf fingerprint at scale {CDF_MODE_SCALE} shifted — "
+        f"re-pin only for a deliberate change (see module docstring)")
+
+
+@pytest.mark.parametrize("name", sorted(PRE_RUNAHEAD_PINS))
+def test_pinned_pre_runahead_fingerprint(name):
+    result = run_benchmark(name, "pre", scale=PRE_RUNAHEAD_SCALE)
+    assert result.counters["runahead_prefetches"] > 0, (
+        f"{name}/pre issued no runahead prefetch at scale "
+        f"{PRE_RUNAHEAD_SCALE}: the pin would not cover runahead timing")
+    assert result.fingerprint() == PRE_RUNAHEAD_PINS[name], (
+        f"{name}/pre fingerprint at scale {PRE_RUNAHEAD_SCALE} shifted — "
         f"re-pin only for a deliberate change (see module docstring)")
 
 

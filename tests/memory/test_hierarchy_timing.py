@@ -239,6 +239,33 @@ def test_clean_eviction_generates_no_writeback():
     assert rec.by_source("writeback") == []
 
 
+def test_store_commit_rfo_uses_real_cycle_not_zero():
+    h = make_hierarchy()
+    rec = DRAMRecorder(h)
+    h.store_commit(5000, 0x40000)    # misses L1D and LLC: an RFO
+    rfos = rec.by_source("demand")
+    assert len(rfos) == 1, "a store that misses everywhere must fetch"
+    assert rfos[0][0] >= 5000, (
+        f"RFO issued at cycle {rfos[0][0]}, before the store commits "
+        f"at 5000")
+
+
+def test_finished_fill_does_not_absorb_a_later_rfo():
+    h = make_hierarchy()
+    rec = DRAMRecorder(h)
+    first = h.load(0, 0x40000)
+    assert first.level == "dram"
+    line = h.line_of(0x40000)
+    for conflict in _conflicting_llc_lines(h, line, h.llc.ways):
+        h._fill_llc(first.completion, conflict)
+    assert not h.llc.probe(line) and not h.l1d.probe(line)
+    # The load's fill landed long ago; its MSHR entry must have expired,
+    # so the store's RFO makes a fresh DRAM trip.
+    h.store_commit(first.completion + 10_000, 0x40000)
+    assert len(rec.by_source("demand")) == 2, (
+        "a finished fill absorbed a later RFO")
+
+
 def test_store_commit_merges_with_outstanding_llc_fill():
     h = make_hierarchy()
     h.load(0, 0x40000)               # miss in flight

@@ -63,6 +63,17 @@ def test_level1_samples_and_latency_aggregates(results):
     assert obs["mem_latency"]     # astar at 0.05 always misses some
 
 
+def test_mode_samples_extend_the_baseline_sample_keys(results):
+    # A mode's gauges add to the baseline's; none may drop one.
+    baseline = set(run_benchmark("astar", "baseline", scale=SCALE,
+                                 obs_level=1).obs["samples"])
+    pre = set(run_benchmark("astar", "pre", scale=SCALE,
+                            obs_level=1).obs["samples"])
+    for mode, keys in (("cdf", set(results[1].obs["samples"])),
+                       ("pre", pre)):
+        assert baseline <= keys, (mode, sorted(baseline - keys))
+
+
 def test_level2_event_streams_feed_every_consumer(results):
     result = results[2]
     obs = result.obs
