@@ -230,7 +230,6 @@ class WallClockRule(Rule):
     ALLOWED_MODULES = (
         "repro.harness.engine",
         "repro.harness.figures",
-        "repro.harness.perfbench",
         # per-rule lint timings are telemetry printed in the report,
         # never simulated state
         "repro.analysis.runner",

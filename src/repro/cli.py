@@ -13,7 +13,6 @@ Installed as ``repro-sim`` (or ``python -m repro``):
     repro-sim trace --benchmark astar --mode cdf --out trace.json
     repro-sim cache stats
     repro-sim sweep --knob memory_speed
-    repro-sim perf [--smoke] [--baseline benchmarks/perf_baseline.json]
     repro-sim disasm bzip
     repro-sim lint [paths...] [--format json] [--baseline FILE]
     repro-sim lint --docs
@@ -208,34 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"workload scale (default: {QUICK_SCALE}, the QUICK "
              "figure scale; smaller scales leave CDF untrained)")
     sweep_cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    perf = sub.add_parser(
-        "perf",
-        help="time the pinned perf micro-suite and write BENCH_perf.json "
-             "(see docs/performance.md)")
-    perf.add_argument("--smoke", action="store_true",
-                      help="smaller scale and fewer reps (CI smoke job)")
-    perf.add_argument("--reps", type=int, default=None, metavar="N",
-                      help="timing repetitions per phase (best-of-N)")
-    perf.add_argument("--output", default=None, metavar="PATH",
-                      help=f"report path (default ./{perf_default_report()})")
-    perf.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="committed ratio-floor JSON to enforce (cross-machine); "
-             "regressions beyond --tolerance exit nonzero")
-    perf.add_argument(
-        "--tolerance", type=float, default=None, metavar="FRAC",
-        help="regression band as a fraction (default 0.30)")
-    perf.add_argument(
-        "--profile", action="store_true",
-        help="cProfile one warm sweep instead of timing: per-stage "
-             "hotspot table, written to BENCH_profile.json (numbers "
-             "are not comparable to the regression columns)")
-    perf.add_argument(
-        "--top", type=int, default=15, metavar="N",
-        help="hotspot rows to keep with --profile (default 15)")
-    perf.add_argument("--quiet", action="store_true",
-                      help="suppress phase progress on stderr")
 
     verify = sub.add_parser(
         "verify",
@@ -586,94 +557,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def perf_default_report() -> str:
-    from .harness.perfbench import DEFAULT_REPORT
-    return DEFAULT_REPORT
-
-
-def cmd_perf(args) -> int:
-    import json
-
-    from .harness.perfbench import (
-        DEFAULT_TOLERANCE,
-        compare_ratios,
-        compare_timings,
-        run_perfbench,
-    )
-
-    def progress(line: str) -> None:
-        if not args.quiet:
-            print(f"... {line}", file=sys.stderr)
-
-    if args.profile:
-        from .harness.perfbench import PROFILE_REPORT, run_profile
-        output = args.output or PROFILE_REPORT
-        report = run_profile(smoke=args.smoke, top=args.top,
-                             progress=progress)
-        with open(output, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        stage_rows = [(row["stage"], str(row["calls"]),
-                       f"{row['tottime_s']:.3f} s",
-                       f"{row['cumtime_s']:.3f} s")
-                      for row in report["stages"]]
-        print(render_table("cycle-loop stages (profiled warm sweep)",
-                           ("stage", "calls", "tottime", "cumtime"),
-                           stage_rows))
-        hot_rows = [(row["where"], str(row["calls"]),
-                     f"{row['tottime_s']:.3f} s")
-                    for row in report["hotspots"]]
-        print(render_table(f"top {len(hot_rows)} hotspots by tottime",
-                           ("function", "calls", "tottime"), hot_rows))
-        print(f"profile written to {output}")
-        return 0
-
-    output = args.output or perf_default_report()
-    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-
-    previous = None
-    try:
-        with open(output) as handle:
-            previous = json.load(handle)
-    except (OSError, ValueError):
-        previous = None
-
-    report = run_perfbench(smoke=args.smoke, reps=args.reps,
-                           progress=progress)
-    with open(output, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    timings = report["timings"]
-    derived = report["derived"]
-    rows = [(metric, f"{timings[metric]:.3f} s")
-            for metric in sorted(timings)]
-    rows += [(metric, f"{derived[metric]:.3f}x")
-             for metric in sorted(derived)]
-    print(render_table("perf micro-suite"
-                       + (" (smoke)" if args.smoke else ""),
-                       ("metric", "value"), rows))
-    print(f"report written to {output}")
-
-    failures = []
-    if previous is not None:
-        failures += [f"vs previous run: {line}"
-                     for line in compare_timings(report, previous,
-                                                 tolerance)]
-    if args.baseline:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-        failures += [f"vs {args.baseline}: {line}"
-                     for line in compare_ratios(report, baseline,
-                                                tolerance)]
-    for line in failures:
-        print(f"PERF REGRESSION {line}")
-    if not failures and (previous is not None or args.baseline):
-        print("no regressions beyond the "
-              f"{tolerance * 100:.0f}% tolerance band")
-    return 1 if failures else 0
-
-
 def cmd_verify(args) -> int:
     from .verify import MODES, VerificationError, run_fuzz_campaign
 
@@ -749,7 +632,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": cmd_trace,
         "cache": cmd_cache,
         "sweep": cmd_sweep,
-        "perf": cmd_perf,
         "verify": cmd_verify,
     }
     code = handlers[args.command](args)

@@ -68,20 +68,6 @@ __all__ += [
     "trace_store_enabled",
 ]
 
-from .perfbench import (  # noqa: E402
-    PERF_SUITE,
-    compare_ratios,
-    compare_timings,
-    run_perfbench,
-)
-
-__all__ += [
-    "PERF_SUITE",
-    "compare_ratios",
-    "compare_timings",
-    "run_perfbench",
-]
-
 from .experiments import (  # noqa: E402
     fig01_rob_distribution,
     fig17_scaling,

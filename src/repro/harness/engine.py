@@ -56,7 +56,6 @@ import hashlib
 import json
 import os
 import pathlib
-import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -536,8 +535,3 @@ def configure(jobs: Optional[int] = None,
 def run_jobs(jobs: Sequence[Job]) -> List:
     """Convenience: run *jobs* on the default engine."""
     return get_engine().run(jobs)
-
-
-def stderr_progress(line: str) -> None:
-    """Progress sink used by the CLI."""
-    print(line, file=sys.stderr)

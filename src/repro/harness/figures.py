@@ -96,11 +96,11 @@ WITHIN = "within-tolerance"
 DIVERGED = "diverged"
 PLANNED = "planned"
 
-#: QUICK profile: the perfbench 6-kernel subset at scale 0.3 — the
-#: smallest configuration that reproduces the paper's *shape* (CDF
-#: clearly ahead of PRE ahead of baseline).  Scales below ~0.25 leave
-#: the CDF predictor tables undertrained and every uplift collapses
-#: toward zero; do not shrink this without re-pinning the baseline.
+#: QUICK profile: six kernels at scale 0.3 — the smallest configuration
+#: that reproduces the paper's *shape* (CDF clearly ahead of PRE ahead
+#: of baseline).  Scales below ~0.25 leave the CDF predictor tables
+#: undertrained and every uplift collapses toward zero; do not shrink
+#: this without re-pinning the baseline.
 QUICK_NAMES: Tuple[str, ...] = ("astar", "mcf", "milc", "bzip", "nab",
                                 "lbm")
 QUICK_SCALE = 0.3

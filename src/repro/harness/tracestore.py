@@ -87,7 +87,7 @@ class TraceStore:
             from .engine import default_cache_dir
             root = default_cache_dir() / "traces"
         self.root = pathlib.Path(root).expanduser()
-        #: Per-process accounting (read by ``repro-sim perf`` and tests).
+        #: Per-process accounting (read by tests).
         self.hits = 0
         self.misses = 0
 

@@ -25,7 +25,7 @@ from .opcodes import (
     writes_register,
 )
 from .program import Program, format_instruction
-from .registers import NUM_ARCH_REGS, WORD_MASK, parse_reg, reg_name, to_signed
+from .registers import NUM_ARCH_REGS, WORD_MASK, parse_reg, to_signed
 
 __all__ = [
     "AssemblyError",
@@ -54,6 +54,5 @@ __all__ = [
     "NUM_ARCH_REGS",
     "WORD_MASK",
     "parse_reg",
-    "reg_name",
     "to_signed",
 ]

@@ -17,13 +17,6 @@ WORD_MASK = (1 << 64) - 1
 SIGN_BIT = 1 << 63
 
 
-def reg_name(index: int) -> str:
-    """Return the canonical assembly name for register *index*."""
-    if not 0 <= index < NUM_ARCH_REGS:
-        raise ValueError(f"register index out of range: {index}")
-    return f"r{index}"
-
-
 def parse_reg(name: str) -> int:
     """Parse a register name like ``r7`` into its index.
 

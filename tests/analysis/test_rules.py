@@ -2,6 +2,7 @@
 allowlisted/clean variants, plus framework-level behaviors (baseline,
 reporters, suppression parsing)."""
 
+import importlib.util
 import textwrap
 
 import pytest
@@ -430,6 +431,19 @@ def test_rule_catalogue_is_documented():
         assert rule.name, f"{rule.id} missing name"
     with pytest.raises(KeyError):
         rule_by_id("NOPE999")
+
+
+def test_allowlisted_modules_still_exist():
+    """Every module a rule exempts still resolves. Otherwise a deleted
+    module's exemption stays behind unseen, and any later module that
+    reuses the name inherits it."""
+    allowlisting = [rule for rule in ALL_RULES
+                    if getattr(rule, "ALLOWED_MODULES", ())]
+    assert {"DET003", "CFG001"} <= {rule.id for rule in allowlisting}
+    for rule in allowlisting:
+        for module in rule.ALLOWED_MODULES:
+            assert importlib.util.find_spec(module) is not None, (
+                f"{rule.id} allowlists {module}, which does not exist")
 
 
 def test_baseline_grandfathers_then_catches_new(tmp_path):

@@ -147,71 +147,6 @@ def test_cache_subcommand_covers_trace_store(capsys, tmp_path, monkeypatch):
     assert "removed 1 compiled trace" in out
 
 
-def test_perf_subcommand_writes_report_and_compares(capsys, tmp_path,
-                                                    monkeypatch):
-    """`repro-sim perf` writes the stable-schema report and enforces the
-    tolerance band against a previous run and a committed ratio floor
-    (the timing itself is stubbed: CI noise is not a unit test's job)."""
-    import json
-
-    import repro.harness.perfbench as perfbench
-
-    fake = {
-        "schema": 1,
-        "suite": [list(p) for p in perfbench.PERF_SUITE],
-        "scale": 0.3,
-        "reps": 3,
-        "smoke": False,
-        "timings": {"functional_s": 1.0, "trace_load_s": 0.4,
-                    "sweep_cold_s": 4.0, "sweep_warm_s": 3.0},
-        "derived": {"trace_compile_speedup": 2.5, "cold_over_warm": 1.33},
-        "env": {"python": "x", "platform": "y"},
-    }
-    monkeypatch.setattr(perfbench, "run_perfbench",
-                        lambda **kwargs: json.loads(json.dumps(fake)))
-    report_path = tmp_path / "BENCH_perf.json"
-
-    code, out = run_cli(capsys, "perf", "--quiet",
-                        "--output", str(report_path))
-    assert code == 0
-    assert "report written to" in out
-    on_disk = json.loads(report_path.read_text())
-    assert on_disk == fake
-
-    # Second run against its own previous report: inside the band.
-    code, out = run_cli(capsys, "perf", "--quiet",
-                        "--output", str(report_path))
-    assert code == 0
-    assert "no regressions" in out
-
-    # A slower "previous" run does not fail (improvement), but a faster
-    # one makes the current run a regression beyond the band.
-    previous = json.loads(json.dumps(fake))
-    previous["timings"]["sweep_warm_s"] = 1.0
-    report_path.write_text(json.dumps(previous))
-    code, out = run_cli(capsys, "perf", "--quiet",
-                        "--output", str(report_path))
-    assert code == 1
-    assert "PERF REGRESSION" in out and "sweep_warm_s" in out
-
-    # Committed ratio floors: current ratios far below the floor fail.
-    report_path.unlink()
-    floors = tmp_path / "floors.json"
-    floors.write_text(json.dumps({"trace_compile_speedup": 9.0}))
-    code, out = run_cli(capsys, "perf", "--quiet",
-                        "--output", str(report_path),
-                        "--baseline", str(floors))
-    assert code == 1
-    assert "trace_compile_speedup" in out
-
-    floors.write_text(json.dumps({"trace_compile_speedup": 2.0}))
-    report_path.unlink()
-    code, out = run_cli(capsys, "perf", "--quiet",
-                        "--output", str(report_path),
-                        "--baseline", str(floors))
-    assert code == 0
-
-
 def test_sweep_subcommand_plain(capsys):
     code, out = run_cli(capsys, "sweep", "--knob", "mshrs",
                         "--values", "2", "16", "--benchmarks", "bzip",

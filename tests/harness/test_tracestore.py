@@ -1,4 +1,4 @@
-"""Tests for the persistent compiled-trace store and the perf harness.
+"""Tests for the persistent compiled-trace store.
 
 The trace store must be *transparent*: simulation results are
 bit-identical whether a trace was just executed functionally,
@@ -14,11 +14,6 @@ import pytest
 
 from repro.harness import runner
 from repro.harness.engine import Engine, Job
-from repro.harness.perfbench import (
-    PERF_SUITE,
-    compare_ratios,
-    compare_timings,
-)
 from repro.harness.runner import load_workload
 from repro.harness.tracestore import (
     TraceStore,
@@ -223,33 +218,3 @@ def test_workload_cache_hit_returns_same_object():
     first = load_workload("bzip", SMALL)
     assert load_workload("bzip", SMALL) is first
 
-
-# ------------------------------------------------------------ perfbench
-def test_perf_suite_shape_is_pinned():
-    assert len(PERF_SUITE) == 6
-    names = [name for name, _ in PERF_SUITE]
-    assert len(set(names)) == 6                      # distinct workloads
-    assert {mode for _, mode in PERF_SUITE} == set(MODES)
-
-
-def test_compare_timings_flags_only_out_of_band():
-    shape = {"schema": 1, "suite": [["a", "baseline"]], "scale": 0.3}
-    previous = dict(shape, timings={"sweep_warm_s": 1.0})
-    ok = dict(shape, timings={"sweep_warm_s": 1.2})
-    bad = dict(shape, timings={"sweep_warm_s": 1.5})
-    assert compare_timings(ok, previous, tolerance=0.30) == []
-    assert len(compare_timings(bad, previous, tolerance=0.30)) == 1
-    # Incomparable runs (different suite/scale) are never flagged.
-    other = dict(shape, scale=0.1, timings={"sweep_warm_s": 9.0})
-    assert compare_timings(other, previous, tolerance=0.30) == []
-
-
-def test_compare_ratios_enforces_committed_floors():
-    report = {"derived": {"trace_compile_speedup": 2.0}}
-    assert compare_ratios(report, {"trace_compile_speedup": 1.5},
-                          tolerance=0.30) == []
-    assert len(compare_ratios(report, {"trace_compile_speedup": 3.5},
-                              tolerance=0.30)) == 1
-    # Non-numeric and unknown metrics are ignored.
-    assert compare_ratios(report, {"note": "text", "unknown": 9.0},
-                          tolerance=0.30) == []
