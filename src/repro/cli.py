@@ -246,6 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run simlint (determinism/config/counter static analysis)")
     lint.add_argument("rest", nargs=argparse.REMAINDER)
 
+    # `perf` was a second timing harness, replaced by bench/. The name
+    # stays, with no options, while bench/README.md still mentions it,
+    # so an old script is told where the benchmark went.
+    perf = sub.add_parser("perf", help="removed; see bench/README.md")
+    perf.set_defaults(error=perf.error)
+
     return parser
 
 
@@ -557,6 +563,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def cmd_perf(args) -> int:
+    args.error("removed; time the simulator with `python3 bench/run.py` "
+               "(see bench/README.md)")
+    return 2
+
+
 def cmd_verify(args) -> int:
     from .verify import MODES, VerificationError, run_fuzz_campaign
 
@@ -633,6 +645,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "cache": cmd_cache,
         "sweep": cmd_sweep,
         "verify": cmd_verify,
+        "perf": cmd_perf,
     }
     code = handlers[args.command](args)
     if args.command in _SIMULATING:

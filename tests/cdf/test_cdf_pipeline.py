@@ -1,6 +1,5 @@
 """Behavioural tests for the CDF pipeline against the baseline."""
 
-import json
 import os
 import pathlib
 import random
@@ -109,30 +108,24 @@ def test_no_extra_memory_traffic_on_clean_loop(astar_runs):
 
 
 _FRESH_CDF_RUN = """\
-import json
 from repro.cdf import CDFPipeline
 from repro.config import SimConfig
 from tests.cdf.test_cdf_pipeline import astar_like
 
 program, trace = astar_like()
-result = CDFPipeline(trace, SimConfig.with_cdf(), program).run()
-print(json.dumps({"cycles": result.cycles,
-                  "counters": dict(result.counters)}))
+print(CDFPipeline(trace, SimConfig.with_cdf(), program).run().fingerprint())
 """
 
 
 def test_deterministic(astar_runs):
-    """A CDF result depends on its own inputs alone. The fixture's run
-    (made after the baseline run of the same program) and a rerun made
-    after a different program has trained every predictor and cache
-    both match a run in a fresh interpreter. State shared between
-    pipeline instances, such as BTB tables held in a module-level dict,
-    makes them differ; rerunning one program twice in a row does not."""
-    program, trace, _, cdf, _ = astar_runs
-    other_program, other_trace = astar_like(iters=300, filler=6, seed=11)
-    CDFPipeline(other_trace, SimConfig.with_cdf(), other_program).run()
-    again = CDFPipeline(trace, SimConfig.with_cdf(), program).run()
-
+    """A CDF result depends on its own inputs alone: the fixture's run,
+    made after a baseline run of the same program in this process,
+    matches a run in a fresh interpreter. State shared between pipeline
+    instances, such as BTB tables held in a module-level dict, makes
+    them differ. A rerun in this process is no substitute for the fresh
+    one: with that BTB fault, a rerun made after a different program
+    still matched the fixture's run."""
+    _, _, _, cdf, _ = astar_runs
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), str(REPO), env.get("PYTHONPATH"))
@@ -141,10 +134,7 @@ def test_deterministic(astar_runs):
                           capture_output=True, text=True, env=env,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    fresh = json.loads(proc.stdout)
-    for result in (cdf, again):
-        assert result.cycles == fresh["cycles"]
-        assert dict(result.counters) == fresh["counters"]
+    assert proc.stdout.strip() == cdf.fingerprint()
 
 
 def test_partition_grows_critical_section(astar_runs):

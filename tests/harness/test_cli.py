@@ -127,6 +127,13 @@ def test_report_requires_a_benchmark():
         build_parser().parse_args(["report", "--scale", "0.5"])
 
 
+def test_removed_perf_subcommand_points_to_bench(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["perf"])
+    assert exit_info.value.code == 2
+    assert "bench/README.md" in capsys.readouterr().err
+
+
 def test_cache_subcommand_covers_trace_store(capsys, tmp_path, monkeypatch):
     from repro.harness import runner
     from repro.harness.tracestore import reset_trace_store
