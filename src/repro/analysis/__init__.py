@@ -1,9 +1,9 @@
 """simlint: domain-specific static analysis for the simulator.
 
-The experiment engine's content-addressed result cache (PR 1) is only
-sound if every simulation is a pure, deterministic function of
-(workload, scale, seed, SimConfig, code).  This package machine-checks
-the bug classes that silently break that contract.  Its eight rules
+The experiment engine's content-addressed result cache is only sound
+if every simulation is a pure, deterministic function of (workload,
+scale, seed, SimConfig, code).  This package machine-checks the bug
+classes that silently break that contract.  Its eight rules
 (DET001-003, CFG001, STAT001, NUM001, ARCH001, API001) pattern-match a
 single module's AST: unseeded RNG, hash-order iteration, wall-clock
 leakage, caller-config mutation, typo'd counter keys, float drift,
@@ -12,34 +12,23 @@ gating, capacity and process-sharing bugs are left to the runtime
 gates (fingerprint pins, the invariant checker and the differential
 oracle), which catch them by their effect on results.
 
-Entry points::
-
-    repro-sim lint [paths...]          # CLI subcommand
-    python -m repro.analysis [paths...]
-
-See ``docs/analysis.md`` for the rule catalogue, suppression syntax
-(``# simlint: disable=RULEID``) and the baseline workflow.
+A rule's ``ALLOWED_MODULES`` is the one way to exempt code from it.
+Run it as ``repro-sim lint [paths...]``; see ``docs/analysis.md`` for
+the rule catalogue.
 """
 
-from .core import Directive, Finding, LintContext, Rule, \
-    parse_suppressions
-from .baseline import Baseline
+from .core import Finding, LintContext, Rule
 from .rules import ALL_RULES, rule_by_id
-from .runner import LintReport, UnusedSuppression, lint_paths, \
-    lint_source, main
+from .runner import LintReport, lint_paths, lint_source, main
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
-    "Directive",
     "Finding",
     "LintContext",
     "LintReport",
     "Rule",
-    "UnusedSuppression",
     "lint_paths",
     "lint_source",
     "main",
-    "parse_suppressions",
     "rule_by_id",
 ]

@@ -1,7 +1,7 @@
-"""simlint reporters: text, JSON, and SARIF 2.1.0.
+"""simlint reporters: text and SARIF 2.1.0.
 
-SARIF output (``--format sarif`` / ``--sarif-out``) feeds GitHub code
-scanning: the CI lint job uploads it so findings annotate PR diffs.
+The SARIF document (``--sarif-out``) feeds GitHub code scanning: the
+CI lint job uploads it so findings annotate PR diffs.
 """
 
 from __future__ import annotations
@@ -13,73 +13,26 @@ if TYPE_CHECKING:                                  # pragma: no cover
     from .core import Rule
     from .runner import LintReport
 
-__all__ = ["render_text", "render_json", "render_sarif"]
+__all__ = ["render_text", "render_sarif"]
 
 _SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
                  "sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
 
 
-def render_text(report: "LintReport", verbose: bool = False,
-                timings: bool = False) -> str:
-    """GCC-style ``path:line:col: RULE message`` lines plus a summary."""
+def render_text(report: "LintReport") -> str:
+    """GCC-style ``path:line:col: RULE message`` lines, each followed by
+    its source line, plus a summary."""
     lines: List[str] = []
     for finding in report.findings:
         lines.append(finding.render())
-        if verbose and finding.snippet:
+        if finding.snippet:
             lines.append(f"    | {finding.snippet}")
-    if report.unused_suppressions:
-        lines.append("")
-        lines.append("warnings:")
-        for unused in report.unused_suppressions:
-            lines.append(f"  {unused.render()}")
-    if report.stale_baseline:
-        lines.append("")
-        lines.append("stale baseline entries (code is gone; prune with "
-                     "--write-baseline):")
-        for key in report.stale_baseline:
-            lines.append(f"  - {key}")
-    if timings and report.rule_seconds:
-        lines.append("")
-        lines.append("per-rule wall time:")
-        total = 0.0
-        for rule_id in sorted(report.rule_seconds):
-            seconds = report.rule_seconds[rule_id]
-            total += seconds
-            lines.append(f"  {rule_id:<8} {seconds * 1000.0:8.1f} ms")
-        lines.append(f"  {'total':<8} {total * 1000.0:8.1f} ms")
     lines.append("")
     verdict = "FAIL" if report.findings else "OK"
-    summary = (
+    lines.append(
         f"simlint: {verdict} — {len(report.findings)} finding(s), "
-        f"{report.suppressed} suppressed, {report.grandfathered} "
-        f"baselined, {report.files_checked} file(s) checked")
-    if report.unused_suppressions:
-        summary += (f", {len(report.unused_suppressions)} unused "
-                    f"suppression(s)")
-    lines.append(summary)
+        f"{report.files_checked} file(s) checked")
     return "\n".join(lines)
-
-
-def render_json(report: "LintReport") -> str:
-    payload = {
-        "findings": [f.to_dict() for f in report.findings],
-        "unused_suppressions": [
-            {"path": u.path, "line": u.line, "rules": list(u.rules)}
-            for u in report.unused_suppressions],
-        "rule_seconds": {rule_id: round(seconds, 6)
-                         for rule_id, seconds
-                         in sorted(report.rule_seconds.items())},
-        "summary": {
-            "findings": len(report.findings),
-            "suppressed": report.suppressed,
-            "grandfathered": report.grandfathered,
-            "stale_baseline": list(report.stale_baseline),
-            "files_checked": report.files_checked,
-            "unused_suppressions": len(report.unused_suppressions),
-            "rules": sorted({f.rule for f in report.findings}),
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def render_sarif(report: "LintReport",

@@ -230,9 +230,6 @@ class WallClockRule(Rule):
     ALLOWED_MODULES = (
         "repro.harness.engine",
         "repro.harness.figures",
-        # per-rule lint timings are telemetry printed in the report,
-        # never simulated state
-        "repro.analysis.runner",
     )
 
     _CLOCK_FUNCS = frozenset({
@@ -293,11 +290,8 @@ class ConfigMutationRule(Rule):
     #: Parameter names presumed to carry a caller-owned config.
     _CONFIG_PARAM_NAMES = frozenset({"config", "cfg", "sim_config",
                                      "simconfig"})
-    ALLOWED_MODULES = ("repro.config",)
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if _is_module(ctx.module, self.ALLOWED_MODULES):
-            return
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_function(ctx, node)
@@ -376,9 +370,6 @@ class CounterRegistryRule(Rule):
         "dynamic family template."
     )
 
-    #: Modules exempt because they define/teach the machinery itself.
-    ALLOWED_MODULES = ("repro.stats.counters", "repro.stats.registry")
-
     def _registry(self) -> Any:
         from ..stats import registry
         return registry
@@ -423,8 +414,6 @@ class CounterRegistryRule(Rule):
         return False
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if _is_module(ctx.module, self.ALLOWED_MODULES):
-            return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \

@@ -14,7 +14,7 @@ Installed as ``repro-sim`` (or ``python -m repro``):
     repro-sim cache stats
     repro-sim sweep --knob memory_speed
     repro-sim disasm bzip
-    repro-sim lint [paths...] [--format json] [--baseline FILE]
+    repro-sim lint [paths...] [--select IDS] [--sarif-out FILE]
     repro-sim lint --docs
     repro-sim verify --fuzz 50 --seed 0
     repro-sim verify --bench astar --scale 0.2

@@ -1,15 +1,15 @@
 """Tier-1 gate: the repo's own source must be simlint-clean.
 
-Runs every rule over the installed ``repro`` package with an **empty
-baseline** — any new finding fails CI.  Accepted exceptions must carry an
-inline ``# simlint: disable=RULE <reason>`` comment, which keeps them
-visible at the violation site instead of hidden in a baseline file.
+Runs every rule over the installed ``repro`` package; any finding fails
+CI.  A rule's ``ALLOWED_MODULES`` is the only exemption, so every
+accepted exception is listed next to the rule it escapes.
 """
 
+import importlib.util
 from pathlib import Path
 
 import repro
-from repro.analysis import lint_paths
+from repro.analysis import ALL_RULES, lint_paths, lint_source
 from repro.analysis.report import render_text
 from repro.cli import main as cli_main
 
@@ -22,28 +22,20 @@ def test_repo_is_lint_clean_with_empty_baseline():
     report = lint_paths([_package_root()])
     assert report.files_checked > 50, "lint walked suspiciously few files"
     assert not report.parse_errors, report.parse_errors
-    assert not report.findings, "\n" + render_text(report, verbose=True)
-
-
-def test_suppressions_remain_rare_and_visible():
-    # Inline suppressions are allowed but counted; if this number creeps
-    # up, findings are being silenced instead of fixed.  Raise it only
-    # with a justification in the PR.
-    #
-    # Current budget: none.  The tree carries no suppression directive.
-    report = lint_paths([_package_root()])
-    assert report.suppressed <= 0, (
-        f"{report.suppressed} inline suppressions in src/repro — "
-        f"fix findings instead of suppressing them")
+    assert not report.findings, "\n" + render_text(report)
 
 
 def test_no_unused_suppressions_in_repo():
-    # Every directive must still be load-bearing; stale ones rot into
-    # misleading documentation.  The runner reports them as warnings —
-    # this test turns the warning into a tier-1 failure for our own tree.
-    report = lint_paths([_package_root()])
-    assert not report.unused_suppressions, "\n".join(
-        u.render() for u in report.unused_suppressions)
+    # An allowlist entry must still exempt something: linted under a
+    # name no rule exempts, each allowlisted module trips its rule.
+    # Otherwise the entry only hides the module's future findings.
+    for rule in ALL_RULES:
+        for module in getattr(rule, "ALLOWED_MODULES", ()):
+            source = Path(importlib.util.find_spec(module).origin)
+            hits = lint_source(source.read_text(encoding="utf-8"),
+                               rules=[rule], module="repro.unlisted")
+            assert hits, (f"{rule.id} allowlists {module}, which it "
+                          f"would not flag; delete the entry")
 
 
 def test_cli_lint_exits_zero_on_clean_tree(capsys):
@@ -63,32 +55,17 @@ def test_cli_lint_exits_nonzero_on_violation(tmp_path, capsys):
     assert "DET001" in out and "DET002" in out and "FAIL" in out
 
 
-def test_cli_lint_json_and_select(tmp_path, capsys):
+def test_cli_lint_select(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("def f(xs):\n    return list(set(xs))\n")
-    assert cli_main(["lint", "--format", "json", "--select", "DET002",
-                     str(bad)]) == 1
+    assert cli_main(["lint", "--select", "DET002", str(bad)]) == 1
     out = capsys.readouterr().out
-    assert '"rule": "DET002"' in out
+    assert "bad.py:2:17: DET002" in out
+    assert "    | return list(set(xs))" in out
     # selecting a rule the file doesn't violate exits clean
     assert cli_main(["lint", "--select", "API001", str(bad)]) == 0
-
-
-def test_cli_lint_baseline_workflow(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("def f(xs):\n    return list(set(xs))\n")
-    baseline = tmp_path / "baseline.json"
-    assert cli_main(["lint", "--baseline", str(baseline),
-                     "--write-baseline", str(bad)]) == 0
-    capsys.readouterr()
-    # grandfathered: exits 0
-    assert cli_main(["lint", "--baseline", str(baseline), str(bad)]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
-    # a new violation still fails
-    bad.write_text("def f(xs):\n"
-                   "    return list(set(xs)), tuple(set(xs))\n")
-    assert cli_main(["lint", "--baseline", str(baseline), str(bad)]) == 1
+    assert "simlint: OK" in capsys.readouterr().out
+    assert cli_main(["lint", "--select", "NOPE999", str(bad)]) == 2
 
 
 def test_cli_lint_list_rules(capsys):
