@@ -97,7 +97,6 @@ class CoreConfig(_Freezable):
 
     freq_ghz: float = 3.2
     fetch_width: int = 6
-    decode_width: int = 6
     rename_width: int = 6
     issue_width: int = 6
     retire_width: int = 6

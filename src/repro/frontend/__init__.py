@@ -1,22 +1,12 @@
-"""Frontend structures: branch predictors, BTB, RAS, branch unit."""
+"""Frontend structures: TAGE predictor, BTB, RAS, branch unit."""
 
-from .bpred import (
-    BimodalPredictor,
-    DirectionPredictor,
-    GsharePredictor,
-    TAGEPredictor,
-    make_predictor,
-)
+from .bpred import TAGEPredictor
 from .branch_unit import BranchOutcome, BranchUnit
 from .btb import BTB
 from .ras import ReturnAddressStack
 
 __all__ = [
-    "BimodalPredictor",
-    "DirectionPredictor",
-    "GsharePredictor",
     "TAGEPredictor",
-    "make_predictor",
     "BranchOutcome",
     "BranchUnit",
     "BTB",

@@ -1,26 +1,5 @@
-"""Branch direction predictors."""
+"""Branch direction predictor (Table 1 uses TAGE-SC-L)."""
 
-from .base import DirectionPredictor
-from .bimodal import BimodalPredictor
-from .gshare import GsharePredictor
 from .tage import TAGEPredictor
 
-
-def make_predictor(name: str = "tage") -> DirectionPredictor:
-    """Factory for the configured predictor (Table 1 uses TAGE-SC-L)."""
-    if name == "tage":
-        return TAGEPredictor()
-    if name == "gshare":
-        return GsharePredictor()
-    if name == "bimodal":
-        return BimodalPredictor()
-    raise ValueError(f"unknown predictor: {name!r}")
-
-
-__all__ = [
-    "DirectionPredictor",
-    "BimodalPredictor",
-    "GsharePredictor",
-    "TAGEPredictor",
-    "make_predictor",
-]
+__all__ = ["TAGEPredictor"]

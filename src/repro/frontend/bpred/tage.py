@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .base import DirectionPredictor
-
 
 class _TaggedEntry:
     __slots__ = ("tag", "counter", "useful")
@@ -59,14 +57,18 @@ class _TaggedTable:
         return (pc ^ (folded << 1)) & self.tag_mask
 
 
-class TAGEPredictor(DirectionPredictor):
-    """Multi-table TAGE with geometric history lengths."""
+class TAGEPredictor:
+    """Multi-table TAGE with geometric history lengths.
+
+    Trace-driven usage: the branch unit calls :meth:`predict` at fetch,
+    compares the prediction with the trace's outcome, then calls
+    :meth:`update` with that outcome.
+    """
 
     def __init__(self, base_entries: int = 8192,
                  table_entries: int = 1024, tag_bits: int = 9,
                  history_lengths: Optional[List[int]] = None,
                  useful_reset_interval: int = 256 * 1024) -> None:
-        super().__init__()
         history_lengths = history_lengths or [5, 13, 34, 89, 233]
         self._base = [2] * base_entries
         self._base_mask = base_entries - 1

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from ..isa.dynuop import DynUop
 from ..isa.opcodes import Opcode
-from .bpred import make_predictor
+from .bpred import TAGEPredictor
 from .btb import BTB
 from .ras import ReturnAddressStack
 
@@ -27,9 +27,8 @@ class BranchOutcome(NamedTuple):
 class BranchUnit:
     """Frontend branch machinery shared by all pipeline models."""
 
-    def __init__(self, predictor: str = "tage", btb_entries: int = 4096,
-                 ras_depth: int = 32) -> None:
-        self.predictor = make_predictor(predictor)
+    def __init__(self, btb_entries: int = 4096, ras_depth: int = 32) -> None:
+        self.predictor = TAGEPredictor()
         self.btb = BTB(entries=btb_entries)
         self.ras = ReturnAddressStack(ras_depth)
         self.branches_seen = 0
@@ -46,8 +45,7 @@ class BranchUnit:
 
         if uop.is_cond_branch:
             predicted_taken = self.predictor.predict(uop.pc)
-            mispredicted = self.predictor.record_outcome(
-                predicted_taken, uop.taken)
+            mispredicted = predicted_taken != uop.taken
             self.predictor.update(uop.pc, uop.taken)
             if uop.taken:
                 if self.btb.lookup(uop.pc) is None:

@@ -1,43 +1,33 @@
-"""Unit tests for the direction predictors."""
+"""Unit tests for the TAGE direction predictor."""
 
 import random
 
 import pytest
 
-from repro.frontend import (
-    BimodalPredictor,
-    GsharePredictor,
-    TAGEPredictor,
-    make_predictor,
-)
+from repro.frontend import TAGEPredictor
 
 
-ALL_PREDICTORS = [BimodalPredictor, GsharePredictor, TAGEPredictor]
-
-
-@pytest.mark.parametrize("cls", ALL_PREDICTORS)
+@pytest.mark.parametrize("cls", [TAGEPredictor])
 def test_learns_always_taken(cls):
     p = cls()
     pc = 0x40
     for _ in range(16):
-        pred = p.predict(pc)
-        p.record_outcome(pred, True)
+        p.predict(pc)
         p.update(pc, True)
     assert p.predict(pc) is True
 
 
-@pytest.mark.parametrize("cls", ALL_PREDICTORS)
+@pytest.mark.parametrize("cls", [TAGEPredictor])
 def test_learns_never_taken(cls):
     p = cls()
     pc = 0x80
     for _ in range(16):
-        pred = p.predict(pc)
-        p.record_outcome(pred, False)
+        p.predict(pc)
         p.update(pc, False)
     assert p.predict(pc) is False
 
 
-@pytest.mark.parametrize("cls", [GsharePredictor, TAGEPredictor])
+@pytest.mark.parametrize("cls", [TAGEPredictor])
 def test_history_predictor_learns_alternating_pattern(cls):
     """T,N,T,N... is hard for bimodal, easy for history predictors."""
     p = cls()
@@ -54,7 +44,7 @@ def test_history_predictor_learns_alternating_pattern(cls):
 
 
 def test_tage_learns_long_correlated_pattern():
-    """A pattern with period 12 needs longer history than gshare-lite."""
+    """A pattern with period 12 needs a long global history."""
     p = TAGEPredictor()
     pattern = [True] * 11 + [False]
     misses_late = 0
@@ -67,7 +57,7 @@ def test_tage_learns_long_correlated_pattern():
     assert misses_late / 3000 < 0.10
 
 
-@pytest.mark.parametrize("cls", ALL_PREDICTORS)
+@pytest.mark.parametrize("cls", [TAGEPredictor])
 def test_random_branches_are_hard(cls):
     """Data-random branches should stay near 50% accuracy: these are the
     hard-to-predict branches CDF marks critical."""
@@ -82,33 +72,6 @@ def test_random_branches_are_hard(cls):
             wrong += 1
         p.update(0x200, outcome)
     assert 0.30 < wrong / trials < 0.70
-
-
-def test_accuracy_bookkeeping():
-    p = BimodalPredictor()
-    p.record_outcome(True, True)
-    p.record_outcome(True, False)
-    assert p.predictions == 2
-    assert p.mispredictions == 1
-    assert p.accuracy == pytest.approx(0.5)
-
-
-def test_factory():
-    assert isinstance(make_predictor("tage"), TAGEPredictor)
-    assert isinstance(make_predictor("gshare"), GsharePredictor)
-    assert isinstance(make_predictor("bimodal"), BimodalPredictor)
-    with pytest.raises(ValueError):
-        make_predictor("perceptron")
-
-
-def test_bimodal_power_of_two_validation():
-    with pytest.raises(ValueError):
-        BimodalPredictor(entries=1000)
-
-
-def test_gshare_power_of_two_validation():
-    with pytest.raises(ValueError):
-        GsharePredictor(entries=1000)
 
 
 def test_multiple_pcs_do_not_destructively_interfere_in_tage():

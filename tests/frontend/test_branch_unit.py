@@ -9,7 +9,7 @@ def trace_of(text):
 
 
 def test_conditional_branch_training_and_mispredicts():
-    unit = BranchUnit(predictor="bimodal")
+    unit = BranchUnit()
     trace = trace_of("""
         movi r1, 20
     loop:
@@ -27,7 +27,7 @@ def test_conditional_branch_training_and_mispredicts():
 
 
 def test_btb_miss_on_first_taken_branch_only():
-    unit = BranchUnit(predictor="bimodal")
+    unit = BranchUnit()
     trace = trace_of("""
         movi r1, 5
     loop:
@@ -76,7 +76,7 @@ def test_jmp_never_mispredicts_direction():
 
 
 def test_mpki():
-    unit = BranchUnit(predictor="bimodal")
+    unit = BranchUnit()
     assert unit.mpki(0) == 0.0
     unit.mispredicts = 5
     assert unit.mpki(1000) == 5.0
