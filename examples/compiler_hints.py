@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compiler-assisted CDF (the paper's future work, Sec. 6).
 
-A profile-guided 'compiler pass' slices critical chains offline and emits
-a hint artifact; preloading it into the Critical Uop Cache lets CDF mode
+A profile-guided 'compiler pass' slices critical chains offline into
+per-block hints; preloading them into the Critical Uop Cache lets CDF mode
 engage from cycle 0 instead of waiting for the first hardware training
 interval (10k retired uops + 1200-cycle fill latency). On short runs the
 difference is dramatic — exactly why the paper suggests it 'can help
@@ -12,10 +12,8 @@ Run:  python examples/compiler_hints.py [benchmark] [scale]
 """
 
 import sys
-import tempfile
 
-from repro.cdf import CDFPipeline, StaticChainHints, preload_hints, \
-    profile_chains
+from repro.cdf import CDFPipeline, preload_hints, profile_chains
 from repro.config import SimConfig
 from repro.core import BaselinePipeline
 from repro.harness import load_workload
@@ -33,14 +31,7 @@ def main() -> None:
     hints = profile_chains(workload.program, trace, profile_uops=8000)
     print(f"  -> {len(hints)} basic blocks hinted, "
           f"{100 * hints.critical_fraction:.1f}% of profiled uops "
-          "critical")
-
-    # The artifact a compiler would ship next to the binary:
-    with tempfile.NamedTemporaryFile(suffix=".hints.json",
-                                     delete=False) as tmp:
-        hints.save(tmp.name)
-        print(f"  -> hint artifact written to {tmp.name}\n")
-        hints = StaticChainHints.load(tmp.name)
+          "critical\n")
 
     base = BaselinePipeline(trace, SimConfig.baseline()).run()
     plain = CDFPipeline(trace, SimConfig.with_cdf(), workload.program).run()

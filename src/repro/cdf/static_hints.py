@@ -13,9 +13,8 @@ This module implements that flow as a profile-guided 'compiler pass':
    baseline core, observes which loads missed the LLC and which branches
    mispredicted, and slices their backward dependence chains over the
    dynamic trace — the software analogue of the Fill Buffer walk.
-2. The result is a :class:`StaticChainHints` artifact (per-basic-block
-   critical masks) that can be saved to / loaded from a JSON file, like
-   a compiler would emit alongside the binary.
+2. The result is a :class:`StaticChainHints` artifact: per-basic-block
+   critical masks, the hints a compiler would emit alongside the binary.
 3. :func:`preload_hints` installs the hinted traces into a CDF pipeline's
    Critical Uop Cache and Mask Cache *before* simulation starts, letting
    CDF mode engage without waiting for the first 10k-instruction
@@ -25,9 +24,8 @@ This module implements that flow as a profile-guided 'compiler pass':
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..config import SimConfig
 from ..core.pipeline import BaselinePipeline
@@ -48,42 +46,9 @@ class StaticChainHints:
     def __len__(self) -> int:
         return len(self.bb_masks)
 
-    # -- artifact I/O -----------------------------------------------------
-    def save(self, path: str) -> None:
-        payload = {
-            "version": 1,
-            "critical_fraction": self.critical_fraction,
-            "blocks": [
-                {
-                    "bb_start": bb,
-                    "mask": format(mask, "x"),
-                    "ends_in_branch": self.bb_ends_in_branch.get(bb, False),
-                }
-                for bb, mask in sorted(self.bb_masks.items())
-            ],
-        }
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=1)
-
-    @classmethod
-    def load(cls, path: str) -> "StaticChainHints":
-        with open(path) as handle:
-            payload = json.load(handle)
-        if payload.get("version") != 1:
-            raise ValueError(f"{path}: unsupported hint file version")
-        hints = cls(critical_fraction=payload.get("critical_fraction", 0.0))
-        for block in payload["blocks"]:
-            bb = int(block["bb_start"])
-            hints.bb_masks[bb] = int(block["mask"], 16)
-            if block["ends_in_branch"]:
-                hints.bb_ends_in_branch[bb] = True
-        return hints
-
 
 def profile_chains(program: Program, trace: Sequence[DynUop],
-                   profile_uops: Optional[int] = None,
-                   config: Optional[SimConfig] = None,
-                   include_branches: bool = True) -> StaticChainHints:
+                   profile_uops: Optional[int] = None) -> StaticChainHints:
     """Profile-guided chain generation (the 'compiler pass').
 
     Runs the baseline core over a prefix of the trace, collects the
@@ -91,14 +56,12 @@ def profile_chains(program: Program, trace: Sequence[DynUop],
     and folds the marks into per-basic-block masks.
     """
     profile_trace = list(trace[:profile_uops]) if profile_uops else trace
-    pipeline = BaselinePipeline(profile_trace,
-                                config or SimConfig.baseline(),
+    pipeline = BaselinePipeline(profile_trace, SimConfig.baseline(),
                                 benchmark="profile")
     pipeline.run()
-    roots: List[int] = list(pipeline.llc_miss_load_seqs)
-    if include_branches:
-        roots.extend(pipeline.mispredicted_branch_seqs)
-    critical = mark_critical_chains(profile_trace, roots)
+    critical = mark_critical_chains(
+        profile_trace, [*pipeline.llc_miss_load_seqs,
+                        *pipeline.mispredicted_branch_seqs])
 
     hints = StaticChainHints()
     marked = 0
@@ -115,18 +78,15 @@ def profile_chains(program: Program, trace: Sequence[DynUop],
     return hints
 
 
-def preload_hints(pipeline, hints: StaticChainHints,
-                  respect_density_gates: bool = True) -> int:
+def preload_hints(pipeline, hints: StaticChainHints) -> int:
     """Install *hints* into a CDF pipeline before it runs.
 
     Returns the number of basic blocks installed. The pipeline's own
-    density gates still apply (a compiler emitting everything-critical
-    would be as useless to CDF as hardware overmarking); pass
-    ``respect_density_gates=False`` to force installation.
+    density gates still apply: a compiler emitting everything-critical
+    would be as useless to CDF as hardware overmarking.
     """
     cdf = pipeline.cdf_cfg
-    if respect_density_gates and (
-            hints.critical_fraction < cdf.min_critical_fraction
+    if (hints.critical_fraction < cdf.min_critical_fraction
             or hints.critical_fraction > cdf.max_critical_fraction):
         pipeline.counters.bump("static_hints_rejected")
         return 0

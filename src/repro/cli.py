@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=DEFAULT_SEED)
     run.add_argument("--rob", type=int, default=None,
                      help="override ROB size (scales RS/LQ/SQ with it)")
-    run.add_argument("--no-prefetch", action="store_true")
     run.add_argument("--counters", action="store_true",
                      help="dump all event counters")
 
@@ -108,13 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="DIR",
         help="write the HTML dashboard into DIR")
     figures.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="pinned-values JSON (default "
-             "benchmarks/figures_baseline.json, or "
-             "benchmarks/figures_baseline_full.json with --full)")
-    figures.add_argument(
         "--check-baseline", action="store_true",
-        help="diff values/verdicts against the pinned baseline; any "
+        help="diff values/verdicts against the pinned baseline "
+             "(benchmarks/figures_baseline.json, or "
+             "benchmarks/figures_baseline_full.json with --full); any "
              "drift exits nonzero")
     figures.add_argument(
         "--write-baseline", action="store_true",
@@ -145,15 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="cdf", help="core to run (default cdf)")
     report.add_argument("--seed", type=int, default=DEFAULT_SEED)
     report.add_argument(
-        "--obs-level", type=int, choices=(1, 2), default=2,
-        help="telemetry level (default 2: includes per-uop lifecycle "
-             "events for the fetch-ahead histogram)")
-    report.add_argument(
         "--no-baseline", action="store_true",
         help="skip the baseline comparison run")
-    report.add_argument(
-        "--html", action="store_true",
-        help="emit a self-contained HTML page")
 
     trace = sub.add_parser(
         "trace",
@@ -168,13 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=DEFAULT_SEED)
     trace.add_argument("--out", default="trace.json", metavar="PATH",
                        help="output path (default trace.json)")
-    trace.add_argument(
-        "--obs-level", type=int, choices=(1, 2), default=2,
-        help="1: counter tracks only; 2 (default): adds per-uop "
-             "slices and async memory-request slices")
-    trace.add_argument(
-        "--max-uop-slices", type=int, default=None, metavar="N",
-        help="cap on per-uop timeline slices in the export")
 
     cache = sub.add_parser(
         "cache",
@@ -232,10 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify a suite kernel instead of fuzz programs")
     verify.add_argument("--scale", type=float, default=0.2,
                         help="workload scale with --bench (default 0.2)")
-    verify.add_argument("--fail-fast", action="store_true",
-                        help="stop the campaign at the first failure")
-    verify.add_argument("--quiet", action="store_true",
-                        help="suppress per-case progress on stderr")
 
     # The lint subcommand owns its argument parsing (see
     # repro.analysis.runner); main() dispatches to it before the parse
@@ -259,8 +237,6 @@ def _make_config(args) -> SimConfig:
     config = config_for_mode(args.mode)
     if args.rob is not None:
         config.core = config.core.scaled(args.rob)
-    if args.no_prefetch:
-        config.prefetcher.enabled = False
     return config
 
 
@@ -329,7 +305,7 @@ def cmd_figures(args) -> int:
         return 0
 
     mode = "full" if args.full else "quick"
-    baseline_path = args.baseline or figmod.default_baseline(mode)
+    baseline_path = figmod.default_baseline(mode)
     full_only = figmod.full_only_ids()
     if mode == "quick" and args.fig:
         asked = [fig_id for fig_id in args.fig if fig_id in full_only]
@@ -398,6 +374,13 @@ def cmd_figures(args) -> int:
     return 1 if (failures or diverged) else 0
 
 
+#: The run report reads only level-1 telemetry (gauge samples and
+#: memory-latency aggregates); the Chrome trace needs level 2's per-uop
+#: and memory-request slices.
+REPORT_OBS_LEVEL = 1
+TRACE_OBS_LEVEL = 2
+
+
 def cmd_report(args) -> int:
     """Render a one-run telemetry report (``report --benchmark X``).
 
@@ -409,9 +392,9 @@ def cmd_report(args) -> int:
     from .obs import render_run_report
 
     print(f"... {args.benchmark} [{args.mode}] scale={args.scale} "
-          f"obs_level={args.obs_level}", file=sys.stderr)
+          f"obs_level={REPORT_OBS_LEVEL}", file=sys.stderr)
     result = run_benchmark(args.benchmark, args.mode, scale=args.scale,
-                           seed=args.seed, obs_level=args.obs_level)
+                           seed=args.seed, obs_level=REPORT_OBS_LEVEL)
     baseline = None
     if args.mode != "baseline" and not args.no_baseline:
         print(f"... {args.benchmark} [baseline] scale={args.scale} "
@@ -419,9 +402,9 @@ def cmd_report(args) -> int:
         baseline = run_benchmark(args.benchmark, "baseline",
                                  scale=args.scale, seed=args.seed)
     text = render_run_report(
-        result, baseline=baseline, fmt="html" if args.html else "md",
+        result, baseline=baseline,
         provenance=_provenance(args.benchmark, args.mode, args.scale,
-                               args.seed, obs_level=args.obs_level))
+                               args.seed, obs_level=REPORT_OBS_LEVEL))
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
@@ -453,18 +436,14 @@ def cmd_trace(args) -> int:
     from .obs import write_chrome_trace
 
     print(f"... {args.benchmark} [{args.mode}] scale={args.scale} "
-          f"obs_level={args.obs_level}", file=sys.stderr)
+          f"obs_level={TRACE_OBS_LEVEL}", file=sys.stderr)
     result = run_benchmark(args.benchmark, args.mode, scale=args.scale,
-                           seed=args.seed, obs_level=args.obs_level)
-    kwargs = {}
-    if args.max_uop_slices is not None:
-        kwargs["max_uop_slices"] = args.max_uop_slices
+                           seed=args.seed, obs_level=TRACE_OBS_LEVEL)
     trace = write_chrome_trace(
         result.obs, args.out,
         label=f"{args.benchmark}/{args.mode}",
         provenance=_provenance(args.benchmark, args.mode, args.scale,
-                               args.seed, obs_level=args.obs_level),
-        **kwargs)
+                               args.seed, obs_level=TRACE_OBS_LEVEL))
     print(f"{len(trace['traceEvents'])} trace events written to "
           f"{args.out} (open in chrome://tracing or "
           f"https://ui.perfetto.dev)")
@@ -575,8 +554,7 @@ def cmd_verify(args) -> int:
     modes = tuple(args.modes) if args.modes else MODES
 
     def progress(line: str) -> None:
-        if not args.quiet:
-            print(f"... {line}", file=sys.stderr)
+        print(f"... {line}", file=sys.stderr)
 
     if args.bench:
         # Suite kernel under full verification: run_benchmark attaches
@@ -599,14 +577,8 @@ def cmd_verify(args) -> int:
                   f"uops cross-checked, IPC {result.ipc:.3f}")
         return 0
 
-    try:
-        report = run_fuzz_campaign(args.fuzz, seed=args.seed, modes=modes,
-                                   verify_level=args.level,
-                                   fail_fast=args.fail_fast,
-                                   progress=progress)
-    except VerificationError as err:   # --fail-fast re-raises
-        print(err)
-        return 1
+    report = run_fuzz_campaign(args.fuzz, seed=args.seed, modes=modes,
+                               verify_level=args.level, progress=progress)
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -632,8 +604,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Rebuild the default engine from the environment plus any
         # --jobs/--no-cache overrides; stats start at zero so the
         # summary below covers exactly this invocation.
-        configure(jobs=args.jobs,
-                  use_cache=False if args.no_cache else None)
+        configure(jobs=args.jobs, use_cache=not args.no_cache)
     handlers = {
         "list": cmd_list,
         "run": cmd_run,

@@ -163,7 +163,6 @@ class PrefetcherConfig(_Freezable):
     feedback_interval: int = 512      # prefetches between throttle decisions
     high_accuracy: float = 0.60       # above this, increase degree
     low_accuracy: float = 0.30        # below this, decrease degree
-    train_on_hits: bool = False
 
 
 @dataclass

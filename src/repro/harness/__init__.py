@@ -35,7 +35,6 @@ from .engine import (  # noqa: E402
     default_cache_dir,
     default_jobs,
     get_engine,
-    run_jobs,
 )
 
 __all__ += [
@@ -49,7 +48,6 @@ __all__ += [
     "default_cache_dir",
     "default_jobs",
     "get_engine",
-    "run_jobs",
 ]
 
 from .tracestore import (  # noqa: E402
@@ -57,7 +55,6 @@ from .tracestore import (  # noqa: E402
     get_trace_store,
     reset_trace_store,
     trace_salt,
-    trace_store_enabled,
 )
 
 __all__ += [
@@ -65,7 +62,6 @@ __all__ += [
     "get_trace_store",
     "reset_trace_store",
     "trace_salt",
-    "trace_store_enabled",
 ]
 
 from .experiments import (  # noqa: E402
@@ -140,10 +136,6 @@ __all__ += [
     "write_dashboard",
 ]
 
-from .timeline import (  # noqa: E402
-    collect_events,
-    first_seq_at_pc,
-    render_timeline,
-)
+from .timeline import first_seq_at_pc, render_timeline  # noqa: E402
 
-__all__ += ["collect_events", "first_seq_at_pc", "render_timeline"]
+__all__ += ["first_seq_at_pc", "render_timeline"]

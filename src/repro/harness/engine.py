@@ -70,8 +70,6 @@ from ..workloads import DEFAULT_SEED
 JOBS_ENV = "REPRO_JOBS"
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Set to a non-empty value to disable the on-disk cache entirely.
-NO_CACHE_ENV = "REPRO_NO_CACHE"
 
 #: Bump to invalidate every cache entry regardless of code content.
 ENGINE_CACHE_VERSION = "1"
@@ -325,13 +323,6 @@ class EngineStats:
     wall_seconds: float = 0.0         # engine wall-clock across runs
     job_seconds: float = 0.0          # summed per-job simulation time
 
-    def reset(self) -> None:
-        self.total = 0
-        self.executed = 0
-        self.cache_hits = 0
-        self.wall_seconds = 0.0
-        self.job_seconds = 0.0
-
 
 def default_jobs() -> int:
     """Worker count from ``$REPRO_JOBS`` (default 1 = serial)."""
@@ -351,8 +342,7 @@ class Engine:
         With 1 worker everything runs in-process (no pool overhead, and
         the runner's in-process workload cache is shared across modes).
     use_cache:
-        Disable to force re-simulation (``--no-cache``); ``None`` reads
-        ``$REPRO_NO_CACHE``.
+        Disable to force re-simulation (``--no-cache``).
     cache:
         A :class:`ResultCache`; defaults to one rooted at
         ``$REPRO_CACHE_DIR`` / ``~/.cache/repro-sim``.
@@ -362,13 +352,11 @@ class Engine:
     """
 
     def __init__(self, jobs: Optional[int] = None,
-                 use_cache: Optional[bool] = None,
+                 use_cache: bool = True,
                  cache: Optional[ResultCache] = None,
                  progress: Optional[Callable[[str], None]] = None):
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
-        if use_cache is None:
-            use_cache = not os.environ.get(NO_CACHE_ENV)
-        self.use_cache = bool(use_cache)
+        self.use_cache = use_cache
         self.cache = cache if cache is not None else ResultCache()
         self.progress = progress
         self.stats = EngineStats()
@@ -520,18 +508,14 @@ def get_engine() -> Engine:
 
 
 def configure(jobs: Optional[int] = None,
-              use_cache: Optional[bool] = None,
+              use_cache: bool = True,
               cache_dir: Optional[os.PathLike] = None,
               progress: Optional[Callable[[str], None]] = None) -> Engine:
     """Rebuild the default engine (fresh stats) with the given settings;
-    unspecified settings fall back to the environment. Returns it."""
+    ``jobs`` and ``cache_dir`` fall back to the environment. Returns
+    it."""
     global _default_engine
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     _default_engine = Engine(jobs=jobs, use_cache=use_cache, cache=cache,
                              progress=progress)
     return _default_engine
-
-
-def run_jobs(jobs: Sequence[Job]) -> List:
-    """Convenience: run *jobs* on the default engine."""
-    return get_engine().run(jobs)

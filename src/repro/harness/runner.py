@@ -24,7 +24,7 @@ from ..energy import EnergyModel
 from ..runahead import PREPipeline
 from ..stats import SimResult, mark_critical_chains
 from ..workloads import DEFAULT_SEED, Workload, get_workload
-from .tracestore import get_trace_store, trace_store_enabled
+from .tracestore import get_trace_store
 
 MODES = ("baseline", "cdf", "pre")
 
@@ -49,8 +49,7 @@ def workload_cache_capacity() -> int:
     """Entry cap from ``$REPRO_WORKLOAD_CACHE`` (default 8, min 1).
 
     A non-integer value falls back to the default with a single warning
-    — the same degrade-don't-die contract as ``REPRO_STRICT=0``
-    (see :mod:`repro.stats.registry`).
+    rather than failing the run.
     """
     # A warn-once latch, process-local by design.
     global _warned_bad_workload_cache
@@ -89,11 +88,9 @@ def load_workload(name: str, scale: float = 1.0,
         _workload_cache.move_to_end(key)
         return workload
     workload = get_workload(name, scale=scale, seed=seed)
-    if trace_store_enabled():
-        store = get_trace_store()
-        workload.trace_loader = lambda: store.get(name, scale, seed)
-        workload.trace_saver = \
-            lambda trace: store.put(name, scale, seed, trace)
+    store = get_trace_store()
+    workload.trace_loader = lambda: store.get(name, scale, seed)
+    workload.trace_saver = lambda trace: store.put(name, scale, seed, trace)
     _workload_cache[key] = workload
     while len(_workload_cache) > workload_cache_capacity():
         _workload_cache.popitem(last=False)
@@ -110,17 +107,15 @@ def config_for_mode(mode: str, **overrides) -> SimConfig:
     raise ValueError(f"unknown mode: {mode!r}; known: {MODES}")
 
 
-def make_pipeline(mode: str, trace, config: SimConfig, workload: Workload,
-                  **kwargs):
+def make_pipeline(mode: str, trace, config: SimConfig, workload: Workload):
     if mode == "baseline":
-        pipeline = BaselinePipeline(trace, config, benchmark=workload.name,
-                                    **kwargs)
+        pipeline = BaselinePipeline(trace, config, benchmark=workload.name)
     elif mode == "cdf":
         pipeline = CDFPipeline(trace, config, workload.program,
-                               benchmark=workload.name, **kwargs)
+                               benchmark=workload.name)
     elif mode == "pre":
         pipeline = PREPipeline(trace, config, workload.program,
-                               benchmark=workload.name, **kwargs)
+                               benchmark=workload.name)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
     if config.verify_level > 0:
@@ -147,8 +142,7 @@ def make_pipeline(mode: str, trace, config: SimConfig, workload: Workload,
 def run_benchmark(name: str, mode: str = "baseline", scale: float = 1.0,
                   seed: int = DEFAULT_SEED,
                   config: Optional[SimConfig] = None,
-                  obs_level: Optional[int] = None,
-                  **pipeline_kwargs) -> SimResult:
+                  obs_level: Optional[int] = None) -> SimResult:
     """Run one benchmark under one mode; returns the SimResult with the
     energy model applied.
 
@@ -171,8 +165,7 @@ def run_benchmark(name: str, mode: str = "baseline", scale: float = 1.0,
     config.stats_warmup_uops = workload.warmup_uops()
     if obs_level is not None:
         config.obs_level = obs_level
-    pipeline = make_pipeline(mode, trace, config, workload,
-                             **pipeline_kwargs)
+    pipeline = make_pipeline(mode, trace, config, workload)
     result = pipeline.run()
     if pipeline.observer is not None:
         result.obs = pipeline.observer.payload()

@@ -38,17 +38,6 @@ def _as_event_list(events: Union[Sequence[Event], dict, None]
     return events
 
 
-def collect_events(event_log, first_seq: int, last_seq: int):
-    """Group events by seq within [first_seq, last_seq].
-
-    Thin wrapper over :func:`repro.obs.events.group_uop_events` kept for
-    the established harness API; also accepts an obs payload dict.
-    """
-    from ..obs.events import group_uop_events
-    return group_uop_events(_as_event_list(event_log), first_seq,
-                            last_seq)
-
-
 def render_timeline(event_log, trace,
                     first_seq: int, last_seq: int,
                     max_width: int = 110,
@@ -60,7 +49,9 @@ def render_timeline(event_log, trace,
     2).  ``describe(uop) -> str`` customises the row label (defaults to
     a short disassembly-ish tag).
     """
-    per_seq = collect_events(event_log, first_seq, last_seq)
+    from ..obs.events import group_uop_events
+    per_seq = group_uop_events(_as_event_list(event_log), first_seq,
+                               last_seq)
     if not per_seq:
         return ("(no events in range - did you set pipeline.event_log "
                 "or run with obs_level=2?)")

@@ -27,12 +27,12 @@ cache design:
 
 * **Layout** — ``<root>/<key[:2]>/<key>.trace`` under
   ``$REPRO_CACHE_DIR/traces`` (default ``~/.cache/repro-sim/traces``).
-  Set ``REPRO_NO_TRACE_CACHE`` to a non-empty value to disable the
-  store entirely (every run rebuilds functionally, like before).
 
-:func:`repro.harness.runner.load_workload` consults the process-wide
-default store, so engine workers deserialize the compiled trace instead
-of re-running :class:`~repro.isa.functional.FunctionalMachine`.  See
+:func:`repro.harness.runner.load_workload` always consults the
+process-wide default store, so engine workers deserialize the compiled
+trace instead of re-running
+:class:`~repro.isa.functional.FunctionalMachine`; functional execution
+runs only on a store miss, and its trace is then stored.  See
 docs/performance.md.
 """
 
@@ -46,9 +46,6 @@ from typing import List, Optional
 
 from ..isa.dynuop import DynUop
 from ..isa import traceio
-
-#: Set to a non-empty value to disable the persistent trace store.
-NO_TRACE_CACHE_ENV = "REPRO_NO_TRACE_CACHE"
 
 #: Bump to invalidate every stored trace regardless of code content.
 TRACE_STORE_VERSION = "1"
@@ -181,11 +178,6 @@ class TraceStore:
 
 # ------------------------------------------------------- default store
 _default_store: Optional[TraceStore] = None
-
-
-def trace_store_enabled() -> bool:
-    """False when ``REPRO_NO_TRACE_CACHE`` is set to a non-empty value."""
-    return not os.environ.get(NO_TRACE_CACHE_ENV)
 
 
 def get_trace_store() -> TraceStore:

@@ -5,13 +5,6 @@ from .dram import DRAMModel, SOURCES
 from .hierarchy import AccessResult, MemoryHierarchy
 from .mshr import MSHRFile
 from .prefetcher import StreamPrefetcher
-from .replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
 
 __all__ = [
     "Cache",
@@ -22,9 +15,4 @@ __all__ = [
     "MemoryHierarchy",
     "MSHRFile",
     "StreamPrefetcher",
-    "FIFOPolicy",
-    "LRUPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "make_policy",
 ]

@@ -1,4 +1,4 @@
-"""Set-associative cache timing model.
+"""Set-associative cache timing model with true-LRU replacement.
 
 The cache stores only tags (this is a timing model; data values live in the
 functional simulator). Lines carry a dirty bit (write-back policy) and a
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..config import CacheConfig
-from .replacement import make_policy
 
 
 class CacheLine:
@@ -33,8 +32,7 @@ class Cache:
     the hierarchy does the division once.
     """
 
-    def __init__(self, config: CacheConfig, name: str = "cache",
-                 policy: str = "lru", seed: int = 0) -> None:
+    def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         if config.num_sets <= 0 or config.num_sets & (config.num_sets - 1):
             raise ValueError(
                 f"{name}: number of sets must be a positive power of two, "
@@ -45,17 +43,13 @@ class Cache:
         self.ways = config.ways
         self.latency = config.latency
         self._set_mask = self.num_sets - 1
-        # Tag store and replacement state are allocated lazily, per set,
-        # on the first fill that touches the set: an untouched set is
-        # indistinguishable from an all-invalid one, and small workloads
-        # touch a tiny fraction of a large LLC — eager allocation was a
-        # measurable slice of pipeline construction.  The per-set policy
-        # seed (``seed + set_index``) is preserved exactly, so random
-        # replacement behaves bit-identically to the eager layout.
+        # The tag store is allocated lazily, per set, on the first fill
+        # that touches the set: an untouched set is indistinguishable
+        # from an all-invalid one, and small workloads touch a tiny
+        # fraction of a large LLC — eager allocation was a measurable
+        # slice of pipeline construction.  Each set's list is its LRU
+        # order, least recently used first.
         self._lines: Dict[int, List[CacheLine]] = {}
-        self._policies: Dict[int, object] = {}
-        self._policy_kind = policy
-        self._seed = seed
         #: True when the most recent ``lookup`` hit a prefetched line; the
         #: hierarchy forwards this to the prefetcher's feedback loop.
         self.last_hit_prefetched = False
@@ -69,17 +63,26 @@ class Cache:
         self.useful_prefetches = 0
 
     def _find(self, line_addr: int):
-        set_index = line_addr & self._set_mask
-        lines = self._lines.get(set_index)
+        """Return ``(lines, line)``: the set's lines (None if the set was
+        never filled) and the valid line holding *line_addr* (None on a
+        miss)."""
+        lines = self._lines.get(line_addr & self._set_mask)
         if lines is not None:
-            tag = line_addr
-            for way, line in enumerate(lines):
-                if line.valid and line.tag == tag:
-                    return set_index, way, line
-        return set_index, -1, None
+            for line in lines:
+                if line.tag == line_addr and line.valid:
+                    return lines, line
+        return lines, None
+
+    @staticmethod
+    def _touch(lines: List[CacheLine], line: CacheLine) -> None:
+        """Make *line* the most recently used of its set."""
+        if lines[-1] is not line:
+            lines.remove(line)
+            lines.append(line)
 
     def set_lines(self, set_index: int) -> List[CacheLine]:
-        """The tag-store lines of *set_index*, allocating on first touch.
+        """The tag-store lines of *set_index*, least recently used first,
+        allocating on first touch.
 
         Only :meth:`fill` (and tests/verification poking at tag state)
         need the backing storage; lookups on a never-filled set miss
@@ -89,33 +92,28 @@ class Cache:
         if lines is None:
             lines = self._lines[set_index] = \
                 [CacheLine() for _ in range(self.ways)]
-            self._policies[set_index] = make_policy(
-                self._policy_kind, self.ways, self._seed + set_index)
         return lines
 
-    def lookup(self, line_addr: int, update_stats: bool = True) -> bool:
-        """Probe for *line_addr*; update LRU and hit/miss stats on True."""
-        set_index, way, line = self._find(line_addr)
+    def lookup(self, line_addr: int) -> bool:
+        """Probe for *line_addr*, counting a hit or a miss; a hit
+        becomes the most recently used line of its set."""
+        lines, line = self._find(line_addr)
         self.last_hit_prefetched = False
-        if update_stats:
-            self.accesses += 1
+        self.accesses += 1
         if line is None:
-            if update_stats:
-                self.misses += 1
+            self.misses += 1
             return False
-        if update_stats:
-            self.hits += 1
-            if line.prefetched:
-                self.useful_prefetches += 1
-                self.last_hit_prefetched = True
-                line.prefetched = False
-        self._policies[set_index].on_access(way)
+        self.hits += 1
+        if line.prefetched:
+            self.useful_prefetches += 1
+            self.last_hit_prefetched = True
+            line.prefetched = False
+        self._touch(lines, line)
         return True
 
     def probe(self, line_addr: int) -> bool:
         """Check presence without disturbing LRU state or statistics."""
-        _, _, line = self._find(line_addr)
-        return line is not None
+        return self._find(line_addr)[1] is not None
 
     def fill(self, line_addr: int, dirty: bool = False,
              prefetched: bool = False) -> Optional[Tuple[int, bool]]:
@@ -123,39 +121,36 @@ class Cache:
 
         Filling a line already present just updates its bits.
         """
-        set_index, way, line = self._find(line_addr)
+        lines, line = self._find(line_addr)
         if line is not None:
             line.dirty = line.dirty or dirty
-            self._policies[set_index].on_access(way)
+            self._touch(lines, line)
             return None
-        lines = self.set_lines(set_index)
-        policy = self._policies[set_index]
-        victim_way = None
-        for candidate, candidate_line in enumerate(lines):
-            if not candidate_line.valid:
-                victim_way = candidate
-                break
+        if lines is None:
+            lines = self.set_lines(line_addr & self._set_mask)
         evicted = None
-        if victim_way is None:
-            victim_way = policy.victim()
-            victim = lines[victim_way]
+        for line in lines:
+            if not line.valid:
+                break
+        else:
+            # Every way is valid: evict the least recently used.
+            line = lines[0]
             self.evictions += 1
-            if victim.dirty:
+            if line.dirty:
                 self.dirty_evictions += 1
-            evicted = (victim.tag, victim.dirty)
-        new_line = lines[victim_way]
-        new_line.tag = line_addr
-        new_line.valid = True
-        new_line.dirty = dirty
-        new_line.prefetched = prefetched
+            evicted = (line.tag, line.dirty)
+        line.tag = line_addr
+        line.valid = True
+        line.dirty = dirty
+        line.prefetched = prefetched
         if prefetched:
             self.prefetch_fills += 1
-        policy.on_access(victim_way)
+        self._touch(lines, line)
         return evicted
 
     def mark_dirty(self, line_addr: int) -> bool:
         """Set the dirty bit if present; return whether the line was found."""
-        _, _, line = self._find(line_addr)
+        line = self._find(line_addr)[1]
         if line is None:
             return False
         line.dirty = True
@@ -173,7 +168,7 @@ class Cache:
         the writeback decision (a dirty inner copy is newer than the
         outer level's and must not be silently discarded).
         """
-        _, _, line = self._find(line_addr)
+        line = self._find(line_addr)[1]
         if line is None:
             return None
         was_dirty = line.dirty

@@ -78,8 +78,8 @@ class StreamPrefetcher:
     def on_access(self, line_addr: int, was_miss: bool) -> List[int]:
         """Observe a demand access; return line addresses to prefetch.
 
-        Training happens on misses (``train_on_hits`` widens it); issuing
-        happens on any access that advances a trained stream.
+        Training happens on misses; issuing happens on any access that
+        advances a trained stream.
         """
         if not self.config.enabled:
             return []
@@ -91,7 +91,7 @@ class StreamPrefetcher:
                 self._allocate_stream(region, line_addr)
             return []
         stream.lru = self._clock
-        if not was_miss and not self.config.train_on_hits and not stream.trained:
+        if not was_miss and not stream.trained:
             return []
 
         delta = line_addr - stream.last_line

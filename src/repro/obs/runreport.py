@@ -1,4 +1,4 @@
-"""Self-contained run reports (markdown or HTML) from an obs payload.
+"""Self-contained markdown run reports from an obs payload.
 
 ``repro-sim report --benchmark X --mode cdf`` renders one simulation's
 telemetry as a document a human can read without any tooling:
@@ -11,16 +11,16 @@ telemetry as a document a human can read without any tooling:
 * the dispatch-stall anatomy table (``dispatch_stall_*_cycles``);
 * memory-request latency attribution by level/source (from the obs
   aggregates);
-* with ``--baseline``: a CDF-vs-baseline comparison block including a
+* given a baseline run: a CDF-vs-baseline comparison block including a
   fetch-ahead histogram.
 
-Everything is plain text/markdown; the HTML form wraps the same content
-so the file is self-contained (no external assets).
+Everything is plain text/markdown, and all of it comes from level-1
+telemetry (gauge samples and memory-latency aggregates), which is the
+level ``repro-sim report`` runs at.
 """
 
 from __future__ import annotations
 
-import html as _html
 from typing import Dict, List, Optional, Sequence
 
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -106,16 +106,14 @@ _SPARK_GAUGES = [
 ]
 
 
-def render_run_report(result, baseline=None, fmt: str = "md",
+def render_run_report(result, baseline=None,
                       provenance: Optional[Dict] = None) -> str:
-    """Render *result* (a ``SimResult`` with ``.obs``) as md or html.
+    """Render *result* (a ``SimResult`` with ``.obs``) as markdown.
 
     ``provenance`` (config fingerprint, code-version salt, run
     parameters) is appended as a footer so a saved report is
     attributable to the exact configuration and tree that produced it.
     """
-    if fmt not in ("md", "html"):
-        raise ValueError(f"unknown report format: {fmt!r}")
     obs = result.obs or {}
     samples = obs.get("samples", {})
     lines: List[str] = []
@@ -225,13 +223,4 @@ def render_run_report(result, baseline=None, fmt: str = "md",
                        if key in provenance)
         out(f"_Provenance: {run} — " + ", ".join(bits) + "._")
         out("")
-
-    if fmt == "html":
-        body = _html.escape("\n".join(lines))
-        return ("<!DOCTYPE html><html><head><meta charset=\"utf-8\">"
-                f"<title>{_html.escape(result.benchmark)} "
-                f"{_html.escape(result.mode)} run report</title>"
-                "<style>body{font-family:monospace;white-space:pre-wrap;"
-                "max-width:100ch;margin:2em auto;}</style></head>"
-                f"<body>{body}</body></html>")
     return "\n".join(lines)

@@ -4,8 +4,8 @@ The pipelines bump counters by name; the harness diffs snapshots to
 exclude warmup. A plain dict subclass keeps the hot path cheap.
 
 Every key fed to :meth:`Counters.bump` must be declared in
-:mod:`repro.stats.registry`; undeclared keys fail loudly (or warn once
-under ``REPRO_STRICT=0``) instead of silently fabricating a new counter.
+:mod:`repro.stats.registry`; undeclared keys raise instead of silently
+fabricating a new counter.
 The hot path pays one set-membership test per bump — against a bound
 ``set.__contains__`` captured at definition time (the registry memo is
 only ever mutated in place, so the binding stays valid) — and dict

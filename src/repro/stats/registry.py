@@ -9,8 +9,7 @@ zero.  This module closes that hole:
 * every legal key is declared here, once, with a one-line description
   (the table in ``docs/analysis.md`` is generated from it);
 * :meth:`repro.stats.counters.Counters.bump` validates keys against the
-  registry — unknown keys raise :class:`UnknownCounterError` in strict
-  mode (the default) or warn once when ``REPRO_STRICT=0``;
+  registry — unknown keys raise :class:`UnknownCounterError`;
 * the ``STAT001`` simlint rule checks the same contract statically, so
   typos fail in CI before any simulation runs.
 
@@ -23,9 +22,7 @@ runtime validator uses.
 
 from __future__ import annotations
 
-import os
 import re
-import warnings
 from typing import Dict, Set
 
 __all__ = [
@@ -158,11 +155,6 @@ _DYNAMIC_PATTERNS = [re.compile(pattern)
 KNOWN_KEYS: Set[str] = set(COUNTERS)
 
 
-def _strict() -> bool:
-    """Strict unless ``REPRO_STRICT`` is explicitly disabled."""
-    return os.environ.get("REPRO_STRICT", "1") not in ("0", "false", "no")
-
-
 def is_known(key: str) -> bool:
     """True if *key* is declared (statically or via a dynamic family)."""
     if key in KNOWN_KEYS:
@@ -176,21 +168,9 @@ def is_known(key: str) -> bool:
 
 
 def validate_key(key: str) -> None:
-    """Validate one counter key against the registry.
-
-    Unknown keys raise :class:`UnknownCounterError` in strict mode (the
-    default); with ``REPRO_STRICT=0`` they warn once and are then
-    tolerated (so exploratory notebooks keep working).
-    """
-    if is_known(key):
-        return
-    message = (
-        f"counter key {key!r} is not declared in repro.stats.registry; "
-        f"declare it in COUNTERS (or a DYNAMIC_COUNTERS family) or fix "
-        f"the typo.  Set REPRO_STRICT=0 to downgrade this to a warning."
-    )
-    if _strict():
-        raise UnknownCounterError(message)
-    warnings.warn(message, stacklevel=3)
-    # A non-strict warn-once memo, never enabled under the engine.
-    KNOWN_KEYS.add(key)
+    """Raise :class:`UnknownCounterError` unless *key* is declared."""
+    if not is_known(key):
+        raise UnknownCounterError(
+            f"counter key {key!r} is not declared in "
+            f"repro.stats.registry; declare it in COUNTERS (or a "
+            f"DYNAMIC_COUNTERS family) or fix the typo.")

@@ -49,8 +49,7 @@ class RobStallProfiler:
         return critical / total
 
 
-def mark_critical_chains(trace: Sequence, roots: Iterable[int],
-                         include_memory_deps: bool = True) -> Set[int]:
+def mark_critical_chains(trace: Sequence, roots: Iterable[int]) -> Set[int]:
     """Oracle backward-dependence-chain marking.
 
     Given dynamic *roots* (seq numbers of critical loads/branches), walk the
@@ -69,7 +68,7 @@ def mark_critical_chains(trace: Sequence, roots: Iterable[int],
         for dep in uop.src_deps:
             if dep not in critical:
                 stack.append(dep)
-        if include_memory_deps and uop.is_load and uop.store_dep >= 0:
+        if uop.is_load and uop.store_dep >= 0:
             if uop.store_dep not in critical:
                 stack.append(uop.store_dep)
     return critical

@@ -183,15 +183,14 @@ class CampaignReport:
 def run_fuzz_campaign(count: int, seed: int = 0,
                       modes: Sequence[str] = MODES,
                       verify_level: int = 2,
-                      fail_fast: bool = False,
                       progress: Optional[Callable[[str], None]] = None,
                       ) -> CampaignReport:
     """Run ``count`` cases with seeds ``seed .. seed+count-1``.
 
     Case ``i`` uses seed ``seed + i`` so any failure replays in
     isolation with ``--fuzz 1 --seed <case seed>``.  Verification
-    failures are collected in the report (or re-raised immediately with
-    ``fail_fast=True``); infrastructure errors propagate.
+    failures are collected in the report; infrastructure errors
+    propagate.
     """
     modes = tuple(modes)
     cases: List[FuzzCase] = []
@@ -208,8 +207,6 @@ def run_fuzz_campaign(count: int, seed: int = 0,
             if progress is not None:
                 progress(f"seed {case_seed}: FAIL [{mode}] "
                          f"{getattr(err, 'field', '') or getattr(err, 'invariant', '')}")
-            if fail_fast:
-                raise
             continue
         cases.append(case)
         if progress is not None:

@@ -38,23 +38,6 @@ def test_profile_finds_the_critical_blocks(astar, hints):
     assert 0.0 < hints.critical_fraction < 0.5
 
 
-def test_hints_roundtrip_through_json(tmp_path, hints):
-    path = str(tmp_path / "astar.hints.json")
-    hints.save(path)
-    loaded = StaticChainHints.load(path)
-    assert loaded.bb_masks == hints.bb_masks
-    assert loaded.bb_ends_in_branch == hints.bb_ends_in_branch
-    assert loaded.critical_fraction == pytest.approx(
-        hints.critical_fraction)
-
-
-def test_bad_hint_version_rejected(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"version": 2, "blocks": []}')
-    with pytest.raises(ValueError, match="version"):
-        StaticChainHints.load(str(path))
-
-
 def test_preload_installs_blocks(astar, hints):
     workload, trace = astar
     pipeline = CDFPipeline(trace, SimConfig.with_cdf(), workload.program)
@@ -73,9 +56,6 @@ def test_density_gate_rejects_overmarked_hints(astar):
                              critical_fraction=0.9)
     assert preload_hints(pipeline, bogus) == 0
     assert pipeline.counters["static_hints_rejected"] == 1
-    # Force-install bypasses the gate.
-    assert preload_hints(pipeline, bogus,
-                         respect_density_gates=False) == 1
 
 
 def test_hinted_cdf_engages_earlier_and_is_faster(astar, hints):

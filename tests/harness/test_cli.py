@@ -1,7 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import ast
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -195,3 +201,54 @@ def test_sweep_default_scale_engages_cdf():
     baseline = run_benchmark("mcf", "baseline", scale=scale)
     assert cdf.counters["cdf_mode_cycles"] > 0
     assert cdf.cycles != baseline.cycles
+
+
+# ------------------------------------------------------ settings surface
+#: Every option string of every subcommand, ``-h``/``--help`` aside. An
+#: option belongs here only if some caller outside the tests (bench/,
+#: CI, a doc recipe) sets it, or no other input determines it.
+PINNED_OPTIONS = {
+    "list": [],
+    "run": ["--jobs", "--no-cache", "--mode", "--scale", "--seed", "--rob",
+            "--counters"],
+    "compare": ["--jobs", "--no-cache", "--scale", "--seed"],
+    "figures": ["--jobs", "--no-cache", "--quick", "--full", "--fig",
+                "--list", "--seed", "--out", "--check-baseline",
+                "--write-baseline", "--sync-doc", "--no-bench"],
+    "disasm": [],
+    "report": ["--jobs", "--no-cache", "--benchmark", "--scale", "--output",
+               "--mode", "--seed", "--no-baseline"],
+    "trace": ["--benchmark", "--mode", "--scale", "--seed", "--out"],
+    "cache": [],
+    "sweep": ["--jobs", "--no-cache", "--knob", "--values", "--benchmarks",
+              "--modes", "--scale", "--seed"],
+    "verify": ["--fuzz", "--seed", "--modes", "--level", "--bench",
+               "--scale"],
+    "lint": [],
+    "perf": [],
+}
+
+
+def test_option_strings_are_pinned():
+    [subparsers] = [action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    found = {name: [option for action in parser._actions
+                    for option in action.option_strings
+                    if option not in ("-h", "--help")]
+             for name, parser in subparsers.choices.items()}
+    assert found == PINNED_OPTIONS
+    assert sum(map(len, found.values())) == 50
+
+
+def test_environment_switches_are_pinned():
+    """The ``REPRO_*`` names the package reads: the cache directory, the
+    worker count and the workload memo's capacity."""
+    package = pathlib.Path(repro.__file__).parent
+    names = {node.value
+             for path in package.rglob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant)
+             and isinstance(node.value, str)
+             and re.fullmatch(r"REPRO_\w+", node.value)}
+    assert names == {"REPRO_CACHE_DIR", "REPRO_JOBS",
+                     "REPRO_WORKLOAD_CACHE"}

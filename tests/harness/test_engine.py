@@ -199,14 +199,6 @@ def test_default_jobs_from_env(monkeypatch):
     assert default_jobs() == 1            # clamped to serial
 
 
-def test_no_cache_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    assert Engine().use_cache is False
-    monkeypatch.delenv("REPRO_NO_CACHE")
-    assert Engine().use_cache is True
-
-
 # ------------------------------------------------- harness integration
 def test_run_comparison_uses_engine_cache(tmp_path):
     engine = Engine(jobs=1, cache=ResultCache(tmp_path))

@@ -421,31 +421,32 @@ def test_cli_figures_single_claim_smoke(capsys):
     assert "run appended" not in out
 
 
-def test_cli_figures_write_baseline_refuses_partial(capsys, tmp_path):
+def test_cli_figures_write_baseline_refuses_partial(capsys, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
     code = main(["figures", "--quick", "--fig", "table1-area",
-                 "--write-baseline",
-                 "--baseline", str(tmp_path / "b.json")])
+                 "--write-baseline"])
     capsys.readouterr()
     assert code == 2
-    assert not (tmp_path / "b.json").exists()
+    assert not (tmp_path / figmod.default_baseline("quick")).exists()
 
 
-def test_cli_figures_check_baseline_partial(capsys, tmp_path):
+def test_cli_figures_check_baseline_partial(capsys, tmp_path, monkeypatch):
     """A --fig subset checks only the claims it ran against the pin."""
-    baseline_path = tmp_path / "b.json"
+    monkeypatch.chdir(tmp_path)
     results = run_figures("quick", fig_ids=["table1-area"])
-    write_baseline(bench_record(results, "quick"), str(baseline_path))
+    write_baseline(bench_record(results, "quick"),
+                   figmod.default_baseline("quick"))
     code, out = run_cli(capsys, "figures", "--quick",
-                        "--fig", "table1-area",
-                        "--check-baseline", "--baseline",
-                        str(baseline_path))
+                        "--fig", "table1-area", "--check-baseline")
     assert code == 0
     assert "all claims match the pinned baseline" in out
 
 
-def test_cli_figures_check_baseline_missing_file(capsys, tmp_path):
+def test_cli_figures_check_baseline_missing_file(capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
     code = main(["figures", "--quick", "--fig", "table1-area",
-                 "--check-baseline",
-                 "--baseline", str(tmp_path / "nope.json")])
+                 "--check-baseline"])
     capsys.readouterr()
     assert code == 2

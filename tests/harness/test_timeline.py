@@ -4,12 +4,9 @@ from repro.cdf import CDFPipeline
 from repro.config import SimConfig
 from repro.core import BaselinePipeline
 from repro.harness import load_workload
-from repro.harness.timeline import (
-    collect_events,
-    first_seq_at_pc,
-    render_timeline,
-)
+from repro.harness.timeline import first_seq_at_pc, render_timeline
 from repro.isa import assemble, execute
+from repro.obs.events import group_uop_events
 
 
 def small_run(pipeline_cls=BaselinePipeline, **kwargs):
@@ -47,9 +44,9 @@ def test_event_log_off_by_default():
     assert pipeline.event_log is None
 
 
-def test_collect_events_filters_range():
+def test_group_uop_events_filters_range():
     pipeline, trace = small_run()
-    grouped = collect_events(pipeline.event_log, 2, 5)
+    grouped = group_uop_events(pipeline.event_log, 2, 5)
     assert set(grouped) <= {2, 3, 4, 5}
     assert grouped
 

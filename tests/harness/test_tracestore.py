@@ -4,11 +4,10 @@ The trace store must be *transparent*: simulation results are
 bit-identical whether a trace was just executed functionally,
 deserialized from disk, or rebuilt after corruption — serial or
 parallel.  These tests pin that down, plus the store's failure modes
-(corrupt entries, salt drift, disabled store).
+(corrupt entries, salt drift).
 """
 
 import multiprocessing
-import os
 
 import pytest
 
@@ -20,7 +19,6 @@ from repro.harness.tracestore import (
     get_trace_store,
     reset_trace_store,
     trace_salt,
-    trace_store_enabled,
 )
 from repro.isa import traceio
 
@@ -33,7 +31,6 @@ MODES = ("baseline", "cdf", "pre")
 def isolated_store(tmp_path, monkeypatch):
     """Every test gets a private cache dir and fresh in-process caches."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_NO_TRACE_CACHE", raising=False)
     runner._workload_cache.clear()
     reset_trace_store()
     yield
@@ -136,18 +133,6 @@ def test_salt_is_stable_within_process():
     assert len(trace_salt()) == 16
 
 
-# ------------------------------------------------------------ disabling
-def test_env_disables_store(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_TRACE_CACHE", "1")
-    assert not trace_store_enabled()
-    runner._workload_cache.clear()
-    workload = load_workload("bzip", SMALL)
-    assert workload.trace_loader is None
-    assert workload.trace_saver is None
-    workload.trace()
-    assert get_trace_store().entries() == []
-
-
 # ------------------------------------------------- zero re-execution
 @pytest.mark.skipif(
     multiprocessing.get_start_method(allow_none=False) != "fork",
@@ -171,8 +156,8 @@ def test_warm_store_parallel_run_never_reexecutes(monkeypatch):
 # ------------------------------------------------------- bit identity
 def test_serial_parallel_cold_warm_all_bit_identical():
     """Fingerprints must not depend on where the trace came from or how
-    the sweep was executed: cold store (functional + compile), warm
-    store (deserialize), store disabled, serial, and 2-worker parallel
+    the sweep was executed: cold store (functional execution, then
+    compile), warm store (deserialize), serial, and 2-worker parallel
     all agree for every mode."""
     jobs = [Job(name, mode, scale=SMALL)
             for name in NAMES for mode in MODES]
@@ -187,17 +172,9 @@ def test_serial_parallel_cold_warm_all_bit_identical():
     runner._workload_cache.clear()
     warm_parallel = Engine(jobs=2, use_cache=False).run(jobs)
 
-    os.environ["REPRO_NO_TRACE_CACHE"] = "1"
-    try:
-        runner._workload_cache.clear()
-        no_store = Engine(jobs=1, use_cache=False).run(jobs)
-    finally:
-        del os.environ["REPRO_NO_TRACE_CACHE"]
-
-    for a, b, c, d in zip(cold, warm_serial, warm_parallel, no_store):
-        assert a.fingerprint() == b.fingerprint() \
-            == c.fingerprint() == d.fingerprint()
-        assert a == b == c == d
+    for a, b, c in zip(cold, warm_serial, warm_parallel):
+        assert a.fingerprint() == b.fingerprint() == c.fingerprint()
+        assert a == b == c
 
 
 # ------------------------------------------------------------ LRU memo

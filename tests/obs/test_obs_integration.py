@@ -105,3 +105,19 @@ def test_levels_share_the_same_sample_grid(results):
     s2 = results[2].obs["samples"]
     assert s1["cycle"] == s2["cycle"]
     assert s1["rob"] == s2["rob"]
+
+
+def test_run_report_needs_only_level_1():
+    """`repro-sim report` runs at obs level 1: the report it renders
+    reads only level-1 telemetry, so level 2 adds nothing to it.
+    astar at 0.3 enters CDF mode, so the fetch-ahead histogram and the
+    baseline comparison are both rendered."""
+    from repro.obs import render_run_report
+    baseline = run_benchmark("astar", "baseline", scale=0.3)
+    reports = [render_run_report(run_benchmark("astar", "cdf", scale=0.3,
+                                               obs_level=level),
+                                 baseline=baseline)
+               for level in (1, 2)]
+    assert "## Fetch-ahead distance" in reports[0]
+    assert "speedup over baseline" in reports[0]
+    assert reports[0] == reports[1]

@@ -1,6 +1,4 @@
-"""Unit tests for the run-report renderer (sparklines, tables, html)."""
-
-import pytest
+"""Unit tests for the run-report renderer (sparklines, tables)."""
 
 from repro.obs import render_run_report
 from repro.obs.runreport import histogram, sparkline
@@ -86,15 +84,3 @@ def test_report_without_obs_degrades_gracefully():
     text = render_run_report(_result(obs=None))
     assert "No sampled time-series" in text
     assert "No memory-request aggregates" in text
-
-
-def test_html_report_is_self_contained_and_escaped():
-    html = render_run_report(_result(obs=_obs()), fmt="html")
-    assert html.startswith("<!DOCTYPE html>")
-    assert "<script" not in html
-    assert "Run report: unit / cdf" in html
-
-
-def test_unknown_format_rejected():
-    with pytest.raises(ValueError):
-        render_run_report(_result(), fmt="pdf")

@@ -1,7 +1,5 @@
 """Unit tests for counters, MLP tracking, ROB-stall profiling, SimResult."""
 
-import warnings
-
 import pytest
 
 from repro.stats import (
@@ -36,21 +34,9 @@ def test_counters_bump_and_delta():
 
 
 # ------------------------------------------------------------ key registry
-def test_bump_rejects_undeclared_key_in_strict_mode(monkeypatch):
-    monkeypatch.delenv("REPRO_STRICT", raising=False)
+def test_bump_rejects_undeclared_key_in_strict_mode():
     with pytest.raises(UnknownCounterError, match="totally_bogus_counter"):
         Counters().bump("totally_bogus_counter")
-
-
-def test_bump_warns_once_when_strictness_disabled(monkeypatch):
-    monkeypatch.setenv("REPRO_STRICT", "0")
-    c = Counters()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        c.bump("lenient_only_counter")
-        c.bump("lenient_only_counter")
-    assert len(caught) == 1
-    assert c["lenient_only_counter"] == 2
 
 
 def test_dynamic_counter_families():
@@ -171,17 +157,6 @@ def test_mark_critical_chains_follows_registers_and_memory():
     ]
     critical = mark_critical_chains(trace, roots=[3])
     assert critical == {0, 1, 3}
-
-
-def test_mark_critical_chains_without_memory_deps():
-    trace = [
-        _FakeUop(),
-        _FakeUop(src_deps=(0,)),
-        _FakeUop(src_deps=(), store_dep=0, is_load=True),
-    ]
-    critical = mark_critical_chains(trace, roots=[2],
-                                    include_memory_deps=False)
-    assert critical == {2}
 
 
 # ------------------------------------------------------------------ SimResult
