@@ -475,14 +475,18 @@ def cmd_cache(args) -> int:
             ("property", "value"),
             [("directory", tstats["root"]),
              ("entries", tstats["entries"]),
-             ("size", f"{tstats['bytes'] / 1024:.1f} KiB")]))
+             ("size", f"{tstats['bytes'] / 1024:.1f} KiB"),
+             ("program entries", tstats["programs"]),
+             ("program size", f"{tstats['program_bytes'] / 1024:.1f} KiB")]))
         return 0
     removed = cache.clear()
     print(f"removed {removed} cached result"
           f"{'s' if removed != 1 else ''} from {cache.root}")
-    removed_traces = store.clear()
-    print(f"removed {removed_traces} compiled trace"
-          f"{'s' if removed_traces != 1 else ''} from {store.root}")
+    cleared = store.clear()
+    traces, programs = cleared["entries"], cleared["programs"]
+    print(f"removed {traces} compiled trace{'s' if traces != 1 else ''}"
+          f" and {programs} program entr{'ies' if programs != 1 else 'y'}"
+          f" from {store.root}")
     return 0
 
 

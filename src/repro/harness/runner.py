@@ -73,12 +73,18 @@ def load_workload(name: str, scale: float = 1.0,
                   seed: int = DEFAULT_SEED) -> Workload:
     """Build (or fetch the cached) workload; its trace is cached too.
 
-    The in-process memo is a small LRU (see ``REPRO_WORKLOAD_CACHE``).
-    Fresh workloads are wired to the persistent compiled-trace store
-    (:mod:`repro.harness.tracestore`) so their dynamic trace is
+    Resolution order: the in-process memo, a small LRU (see
+    ``REPRO_WORKLOAD_CACHE``); then the persistent compiled-trace store
+    (:mod:`repro.harness.tracestore`), whose program entry restores the
+    workload without running its kernel builder; then the kernel
+    builder, whose program entry is then stored.  Either way the
+    workload is wired to the store, so its dynamic trace is
     deserialized from disk when available and persisted after the first
     functional execution — engine worker processes never re-run the
-    functional model for a trace any process has built before.
+    functional model for a trace any process has built before.  A
+    restored workload builds its memory image only when something reads
+    ``workload.memory``: functional execution on a trace miss, or the
+    differential oracle at ``verify_level > 0``.
     """
     # Workloads are built deterministically, so sharing one within a
     # worker process cannot change a result.
@@ -87,8 +93,11 @@ def load_workload(name: str, scale: float = 1.0,
     if workload is not None:
         _workload_cache.move_to_end(key)
         return workload
-    workload = get_workload(name, scale=scale, seed=seed)
     store = get_trace_store()
+    workload = store.get_workload(name, scale, seed)
+    if workload is None:
+        workload = get_workload(name, scale=scale, seed=seed)
+        store.put_workload(name, scale, seed, workload)
     workload.trace_loader = lambda: store.get(name, scale, seed)
     workload.trace_saver = lambda trace: store.put(name, scale, seed, trace)
     _workload_cache[key] = workload

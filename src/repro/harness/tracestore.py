@@ -17,27 +17,35 @@ cache design:
   invalidates its traces; editing the *timing* models does not, so
   traces survive most simulator work.
 
-* **Serialization** — entries are the exact
+* **Two entries per key** — the trace, in the exact
   :func:`repro.isa.traceio.dumps_trace` byte form (binary, compact,
-  byte-stable), written atomically (temp file + ``os.replace``).
+  byte-stable), and beside it the *program entry*: the workload's
+  program and its other fields but the memory image
+  (:meth:`repro.workloads.Workload.to_json`), as JSON.  A hit on both
+  never runs the kernel builder; the image is built only if something
+  reads ``Workload.memory``.  The salt covers the kernel builders, so a
+  stored program cannot outlive its builder.  Both entries are written
+  atomically (temp file + ``os.replace``).
 
 * **Corruption safety** — a truncated, malformed, or
-  version-incompatible entry is treated as a miss, deleted, and
-  regenerated; the store is advisory and never fatal.
+  version-incompatible entry of either kind is treated as a miss,
+  deleted, and regenerated; the store is advisory and never fatal.
 
-* **Layout** — ``<root>/<key[:2]>/<key>.trace`` under
-  ``$REPRO_CACHE_DIR/traces`` (default ``~/.cache/repro-sim/traces``).
+* **Layout** — ``<root>/<key[:2]>/<key>.trace`` and
+  ``<root>/<key[:2]>/<key>.json`` under ``$REPRO_CACHE_DIR/traces``
+  (default ``~/.cache/repro-sim/traces``).
 
 :func:`repro.harness.runner.load_workload` always consults the
 process-wide default store, so engine workers deserialize the compiled
 trace instead of re-running
-:class:`~repro.isa.functional.FunctionalMachine`; functional execution
-runs only on a store miss, and its trace is then stored.  See
-docs/performance.md.
+:class:`~repro.isa.functional.FunctionalMachine`; the kernel builder
+and functional execution run only on a store miss, and what they
+produce is then stored.  See docs/performance.md.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -46,6 +54,7 @@ from typing import List, Optional
 
 from ..isa.dynuop import DynUop
 from ..isa import traceio
+from ..workloads import Workload, get_workload
 
 #: Bump to invalidate every stored trace regardless of code content.
 TRACE_STORE_VERSION = "1"
@@ -108,6 +117,10 @@ class TraceStore:
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}.trace"
 
+    def program_path_for(self, key: str) -> pathlib.Path:
+        """Where the program entry beside ``path_for(key)`` lives."""
+        return self.root / key[:2] / f"{key}.json"
+
     # ------------------------------------------------------------ access
     def get(self, name: str, scale: float,
             seed: int) -> Optional[List[DynUop]]:
@@ -123,10 +136,7 @@ class TraceStore:
             trace = traceio.loads_trace(data, context=str(path))
         except traceio.TraceFormatError:
             # Truncated write, format drift, bit rot, ... — regenerate.
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            _unlink(path)
             self.misses += 1
             return None
         self.hits += 1
@@ -135,45 +145,97 @@ class TraceStore:
     def put(self, name: str, scale: float, seed: int,
             trace: List[DynUop]) -> None:
         """Atomically persist *trace* (best-effort; never fatal)."""
-        path = self.path_for(self.key(name, scale, seed))
+        _write(self.path_for(self.key(name, scale, seed)),
+               traceio.dumps_trace(trace))
+
+    def get_workload(self, name: str, scale: float,
+                     seed: int) -> Optional[Workload]:
+        """The stored program entry as a workload without its memory
+        image, or None on a miss.
+
+        The image is built by the kernel builder on the first read of
+        ``memory`` (see :meth:`repro.workloads.Workload.from_json`).  An
+        unreadable entry is deleted, so the caller's
+        :meth:`put_workload` replaces it.
+        """
+        path = self.program_path_for(self.key(name, scale, seed))
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-            tmp.write_bytes(traceio.dumps_trace(trace))
-            os.replace(tmp, path)
+            data = path.read_bytes()
         except OSError:
-            pass                      # the store is advisory
+            return None
+        try:
+            return Workload.from_json(
+                json.loads(data),
+                functools.partial(get_workload, name, scale, seed))
+        except (ValueError, KeyError, TypeError):
+            _unlink(path)
+            return None
+
+    def put_workload(self, name: str, scale: float, seed: int,
+                     workload: Workload) -> None:
+        """Atomically persist *workload*'s program entry (best-effort)."""
+        blob = json.dumps(workload.to_json(), separators=(",", ":"))
+        _write(self.program_path_for(self.key(name, scale, seed)),
+               blob.encode("utf-8"))
 
     # --------------------------------------------------------- inventory
     def entries(self) -> List[pathlib.Path]:
+        """The stored traces (program entries are not listed)."""
+        return self._glob("*/*.trace")
+
+    def program_entries(self) -> List[pathlib.Path]:
+        return self._glob("*/*.json")
+
+    def _glob(self, pattern: str) -> List[pathlib.Path]:
         if not self.root.is_dir():
             return []
-        return sorted(self.root.glob("*/*.trace"))
+        return sorted(self.root.glob(pattern))
 
     def stats(self) -> dict:
         entries = self.entries()
+        programs = self.program_entries()
         return {
             "root": str(self.root),
             "entries": len(entries),
             "bytes": sum(path.stat().st_size for path in entries),
+            "programs": len(programs),
+            "program_bytes": sum(path.stat().st_size for path in programs),
         }
 
-    def clear(self) -> int:
-        """Delete every entry, plus the temp files of writers killed
-        before their rename; returns the number of entries removed."""
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        for path in self.root.glob("*/*.trace.tmp*"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+    def clear(self) -> dict:
+        """Delete every trace and program entry, plus the temp files of
+        writers killed before their rename; returns how many traces
+        (``entries``) and program entries (``programs``) it removed."""
+        removed = {"entries": 0, "programs": 0}
+        for kind, paths in (("entries", self.entries()),
+                            ("programs", self.program_entries())):
+            for path in paths:
+                if _unlink(path):
+                    removed[kind] += 1
+        for path in self._glob("*/*.tmp*"):
+            _unlink(path)
         return removed
+
+
+def _write(path: pathlib.Path, data: bytes) -> None:
+    """Write *data* to *path* atomically; the store is advisory, so an
+    OSError is swallowed."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError:
+        pass
+
+
+def _unlink(path: pathlib.Path) -> bool:
+    """Delete *path* if it can; returns whether it did."""
+    try:
+        path.unlink()
+    except OSError:
+        return False
+    return True
 
 
 # ------------------------------------------------------- default store

@@ -111,13 +111,15 @@ class ProgramBuilder:
         return self._alu(Opcode.FDIV, dst, src1, src2, imm)
 
     # --- memory -----------------------------------------------------------
+    # ``scale`` applies only to an index register; without one it is
+    # stored as 1, the value the assembler reads back from a listing.
     def load(self, dst, base, index=None, scale=8, imm=0):
         return self._emit(Opcode.LOAD, dst=dst, src1=base, src2=index,
-                          imm=imm, scale=scale)
+                          imm=imm, scale=1 if index is None else scale)
 
     def store(self, data, base, index=None, scale=8, imm=0):
         return self._emit(Opcode.STORE, dst=data, src1=base, src2=index,
-                          imm=imm, scale=scale)
+                          imm=imm, scale=1 if index is None else scale)
 
     # --- control ----------------------------------------------------------
     def beqz(self, src, target: LabelOrPc):

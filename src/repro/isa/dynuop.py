@@ -12,7 +12,9 @@ freedom Criticality Driven Fetch exploits.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import contextlib
+import gc
+from typing import Iterator, Optional, Tuple
 
 
 class DynUop:
@@ -62,3 +64,23 @@ class DynUop:
                 "S" if self.is_store else
                 "B" if self.is_branch else "A")
         return f"<DynUop #{self.seq} pc={self.pc} {kind}>"
+
+
+@contextlib.contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a trace is built in bulk.
+
+    A trace cannot form a reference cycle: a ``DynUop`` holds only ints,
+    bools, None and tuples of ints.  Yet every uop counts toward the
+    collector's allocation threshold, so building a trace with the
+    collector on runs passes that rescan the uops built so far.  The
+    collector's prior state is restored on exit, also when the body
+    raises.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

@@ -68,6 +68,31 @@ class Program:
         """Set of pcs that start a basic block."""
         return self._leaders
 
+    def to_json(self) -> dict:
+        """JSON-able form: one ``[op, dst, src1, src2, imm, scale,
+        target]`` row per instruction, and the labels.
+
+        :meth:`from_json` rebuilds an equal program, so two programs are
+        equal exactly when their JSON forms are.
+        """
+        return {
+            "instructions": [
+                [int(inst.op), inst.dst, inst.src1, inst.src2, inst.imm,
+                 inst.scale, inst.target]
+                for inst in self.instructions],
+            "labels": dict(self.labels),
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Program":
+        """Inverse of :meth:`to_json`.  Malformed data raises KeyError,
+        TypeError or ValueError."""
+        return cls([Instruction(Opcode(op), dst, src1, src2, imm, scale,
+                                target)
+                    for op, dst, src1, src2, imm, scale, target
+                    in data["instructions"]],
+                   data["labels"])
+
     def basic_block_start(self, pc: int) -> int:
         """Return the pc of the basic-block leader containing *pc*."""
         return self._bb_start[pc]

@@ -32,7 +32,7 @@ from __future__ import annotations
 import struct
 from typing import List
 
-from .dynuop import DynUop
+from .dynuop import DynUop, gc_paused
 from .opcodes import EXEC_CLASS, EXEC_LATENCY, Opcode
 
 MAGIC = b"CDFT"
@@ -169,6 +169,9 @@ def _loads_v2(data: bytes, context: str) -> List[DynUop]:
     deps_blob = struct.unpack_from(f"<{n_deps_total}Q", data, offset)
     offset += 8 * n_deps_total
     store_deps = struct.unpack_from(f"<{n_loads}q", data, offset)
+    # Slices of a tuple are tuples, so each uop's ``srcs`` and
+    # ``src_deps`` cost one slice apiece.
+    srcs_all = tuple(srcs_blob)
     trace: List[DynUop] = []
     append = trace.append
     lat_by_op = _EXEC_LAT_BY_OP
@@ -180,36 +183,29 @@ def _loads_v2(data: bytes, context: str) -> List[DynUop]:
     mem_i = 0
     load_i = 0
     try:
-        for seq in range(n):
-            op = ops[seq]
-            (is_load, is_store, is_branch, is_cond, taken,
-             has_mem) = flag_decode[flags_col[seq]]
-            k = n_srcs[seq]
-            srcs = tuple(srcs_blob[src_off:src_off + k])
-            src_off += k
-            k = n_deps[seq]
-            deps = tuple(deps_blob[dep_off:dep_off + k])
-            dep_off += k
-            mem_addr = None
-            if has_mem:
-                mem_addr = mem_addrs[mem_i]
-                mem_i += 1
-            store_dep = -1
-            if is_load:
-                store_dep = store_deps[load_i]
-                load_i += 1
-            dst = dsts[seq]
-            append(dynuop(
-                seq=seq, pc=pcs[seq], op=op,
-                dst=None if dst == 0xFF else dst, srcs=srcs,
-                exec_lat=lat_by_op[op],
-                is_load=is_load, is_store=is_store,
-                is_branch=is_branch,
-                is_cond_branch=is_cond,
-                mem_addr=mem_addr, taken=taken,
-                next_pc=next_pcs[seq], src_deps=deps,
-                store_dep=store_dep,
-                exec_class=class_by_op[op]))
+        with gc_paused():
+            for seq, pc, op, flags, dst, k_srcs, next_pc, k_deps in zip(
+                    range(n), pcs, ops, flags_col, dsts, n_srcs, next_pcs,
+                    n_deps):
+                (is_load, is_store, is_branch, is_cond, taken,
+                 has_mem) = flag_decode[flags]
+                srcs = srcs_all[src_off:src_off + k_srcs]
+                src_off += k_srcs
+                deps = deps_blob[dep_off:dep_off + k_deps]
+                dep_off += k_deps
+                mem_addr = None
+                if has_mem:
+                    mem_addr = mem_addrs[mem_i]
+                    mem_i += 1
+                store_dep = -1
+                if is_load:
+                    store_dep = store_deps[load_i]
+                    load_i += 1
+                append(dynuop(
+                    seq, pc, op, None if dst == 0xFF else dst, srcs,
+                    lat_by_op[op], is_load, is_store, is_branch, is_cond,
+                    mem_addr, taken, next_pc, deps, store_dep,
+                    class_by_op[op]))
     except (KeyError, IndexError, struct.error) as exc:
         raise TraceFormatError(f"{context}: truncated or corrupt "
                                f"at uop {len(trace)}: {exc}") from exc

@@ -40,7 +40,6 @@ def _meta(name: str, tid: int, track: str) -> dict:
 
 
 def export_chrome_trace(obs: dict, label: str = "repro-sim",
-                        max_uop_slices: int = DEFAULT_MAX_UOP_SLICES,
                         provenance: Optional[dict] = None) -> dict:
     """Convert an ``SimResult.obs`` payload into a Chrome-trace object.
 
@@ -103,7 +102,7 @@ def export_chrome_trace(obs: dict, label: str = "repro-sim",
                            "dur": max(1, end - start),
                            "args": {k: v for k, v in sorted(stages.items())}})
             emitted += 1
-            if emitted >= max_uop_slices:
+            if emitted >= DEFAULT_MAX_UOP_SLICES:
                 break
     other = {
         "clock": "1 trace us == 1 core cycle",
@@ -175,12 +174,9 @@ def validate_chrome_trace(trace: dict) -> List[str]:
 
 
 def write_chrome_trace(obs: dict, path: str, label: str = "repro-sim",
-                       max_uop_slices: int = DEFAULT_MAX_UOP_SLICES,
                        provenance: Optional[dict] = None) -> dict:
     """Export, validate, and write a trace; returns the trace object."""
-    trace = export_chrome_trace(obs, label=label,
-                                max_uop_slices=max_uop_slices,
-                                provenance=provenance)
+    trace = export_chrome_trace(obs, label=label, provenance=provenance)
     problems = validate_chrome_trace(trace)
     if problems:
         raise ValueError("generated trace failed self-validation: "

@@ -28,10 +28,10 @@ from typing import Dict, List, Optional
 
 from .events import MemEvent, UopEvent
 
-#: Default cap on individually-recorded memory events (level 2); beyond
-#: this the collector keeps aggregating but stops recording rows.
+#: Cap on individually-recorded memory events (level 2); beyond this
+#: the collector keeps aggregating but stops recording rows.
 DEFAULT_MAX_MEM_EVENTS = 200_000
-#: Default cap on recorded uop lifecycle events (level 2).
+#: Cap on recorded uop lifecycle events (level 2).
 DEFAULT_MAX_UOP_EVENTS = 1_000_000
 
 
@@ -59,16 +59,12 @@ class _BoundedEventLog(list):
 class ObsCollector:
     """Collects telemetry from one pipeline run at ``obs_level >= 1``."""
 
-    def __init__(self, level: int, sample_interval: int = 128,
-                 max_mem_events: int = DEFAULT_MAX_MEM_EVENTS,
-                 max_uop_events: int = DEFAULT_MAX_UOP_EVENTS) -> None:
+    def __init__(self, level: int, sample_interval: int = 128) -> None:
         if level < 1:
             raise ValueError("ObsCollector requires obs_level >= 1; "
                              "level 0 must not construct a collector")
         self.level = level
         self.interval = max(1, sample_interval)
-        self.max_mem_events = max_mem_events
-        self.max_uop_events = max_uop_events
         self.pipeline = None
         # Gauge time-series: columnar dict-of-lists with a stable schema
         # fixed at the first sample (pipeline.obs_gauges() keys).
@@ -89,7 +85,7 @@ class ObsCollector:
         self.pipeline = pipeline
         pipeline.mem.obs = self
         if self.level >= 2:
-            log = _BoundedEventLog(self.max_uop_events)
+            log = _BoundedEventLog(DEFAULT_MAX_UOP_EVENTS)
             if pipeline.event_log:
                 log.extend(pipeline.event_log)
             pipeline.event_log = log
@@ -132,7 +128,7 @@ class ObsCollector:
         totals[1] += completion - issue
         totals[2] += merged
         if self.level >= 2:
-            if len(self.mem_events) < self.max_mem_events:
+            if len(self.mem_events) < DEFAULT_MAX_MEM_EVENTS:
                 self.mem_events.append(
                     MemEvent(issue, completion, line, level, source,
                              bool(merged)))

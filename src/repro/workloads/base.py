@@ -19,7 +19,6 @@ Memory regions (byte addresses):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..isa import Program, ProgramBuilder, execute
@@ -33,36 +32,91 @@ HEAP_REGION = 0x1000_0000       # 256 MB mark
 DEFAULT_SEED = 42
 
 
-@dataclass
 class Workload:
-    """One runnable benchmark: program + initial memory + metadata."""
+    """One runnable benchmark: program + initial memory + metadata.
 
-    name: str
-    program: Program
-    memory: Dict[int, int]
-    max_uops: int
-    description: str = ""
-    #: Fraction of the dynamic trace treated as warmup when measuring
-    #: (the paper warms 200M instructions before each SimPoint).
-    warmup_fraction: float = 0.3
-    _trace_cache: Optional[List[DynUop]] = field(
-        default=None, repr=False, compare=False)
-    #: Optional hooks installed by the harness's persistent trace store
-    #: (:mod:`repro.harness.tracestore`): ``trace_loader`` may return a
-    #: previously compiled trace (or None), ``trace_saver`` persists a
-    #: freshly built one.  The workload layer stays store-agnostic.
-    trace_loader: Optional[Callable[[], Optional[List[DynUop]]]] = field(
-        default=None, repr=False, compare=False)
-    trace_saver: Optional[Callable[[List[DynUop]], None]] = field(
-        default=None, repr=False, compare=False)
+    A kernel builder makes a workload with its memory image.  The
+    harness's trace store (:mod:`repro.harness.tracestore`) keeps the
+    rest, :meth:`to_json`, beside the workload's trace, and restores it
+    with :meth:`from_json` without the image.  Only functional execution
+    (on a trace-store miss) and the differential oracle read ``memory``;
+    on a restored workload the first read runs the kernel builder again.
+    """
+
+    def __init__(self, name: str, program: Program,
+                 memory: Optional[Dict[int, int]], max_uops: int,
+                 description: str = "",
+                 warmup_fraction: float = 0.3) -> None:
+        self.name = name
+        self.program = program
+        self.max_uops = max_uops
+        self.description = description
+        #: Fraction of the dynamic trace treated as warmup when measuring
+        #: (the paper warms 200M instructions before each SimPoint).
+        self.warmup_fraction = warmup_fraction
+        #: None only on a workload restored by :meth:`from_json`, until
+        #: ``memory`` is first read.
+        self._memory = memory
+        self._rebuild: Optional[Callable[[], Workload]] = None
+        self._trace_cache: Optional[List[DynUop]] = None
+        #: Optional hooks installed by the harness's persistent trace
+        #: store: ``trace_loader`` may return a previously compiled trace
+        #: (or None), ``trace_saver`` persists a freshly built one.  The
+        #: workload layer stays store-agnostic.
+        self.trace_loader: Optional[
+            Callable[[], Optional[List[DynUop]]]] = None
+        self.trace_saver: Optional[Callable[[List[DynUop]], None]] = None
+
+    def to_json(self) -> dict:
+        """Every field but the memory image, as JSON-able data."""
+        return {
+            "name": self.name,
+            "program": self.program.to_json(),
+            "max_uops": self.max_uops,
+            "description": self.description,
+            "warmup_fraction": self.warmup_fraction,
+        }
+
+    @classmethod
+    def from_json(cls, data: dict,
+                  rebuild: Callable[[], "Workload"]) -> "Workload":
+        """Inverse of :meth:`to_json`, without the memory image.
+
+        ``rebuild`` (the kernel builder) runs on the first read of
+        ``memory``; that read raises RuntimeError unless the rebuilt
+        workload's :meth:`to_json` equals this one's.  Malformed data
+        raises KeyError, TypeError or ValueError.
+        """
+        workload = cls(
+            name=str(data["name"]),
+            program=Program.from_json(data["program"]),
+            memory=None, max_uops=int(data["max_uops"]),
+            description=str(data["description"]),
+            warmup_fraction=float(data["warmup_fraction"]))
+        workload._rebuild = rebuild
+        return workload
+
+    @property
+    def memory(self) -> Dict[int, int]:
+        """The initial memory image, built on first read if restored."""
+        if self._memory is None:
+            built = self._rebuild()
+            if built.to_json() != self.to_json():
+                raise RuntimeError(
+                    f"{self.name}: the kernel builder's program differs "
+                    f"from the stored one")
+            self._memory = built.memory
+            self._rebuild = None
+        return self._memory
 
     def trace(self) -> List[DynUop]:
         """The dynamic uop trace (functional execution, memoized).
 
         Resolution order: in-process memo, then the installed
         ``trace_loader`` (the on-disk compiled-trace store), then
-        functional execution — which is persisted through
-        ``trace_saver`` so the next process deserializes instead.
+        functional execution of ``program`` on ``memory`` — which is
+        persisted through ``trace_saver`` so the next process
+        deserializes instead.
         """
         if self._trace_cache is None:
             trace = self.trace_loader() if self.trace_loader else None

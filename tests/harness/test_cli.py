@@ -160,6 +160,37 @@ def test_cache_subcommand_covers_trace_store(capsys, tmp_path, monkeypatch):
     assert "removed 1 compiled trace" in out
 
 
+def test_cache_clear_leaves_no_file_under_traces(capsys, tmp_path,
+                                                monkeypatch):
+    """``cache stats`` counts the program entries beside the traces, and
+    ``cache clear`` removes both kinds and their temp files."""
+    from repro.harness import runner
+    from repro.harness.tracestore import get_trace_store, reset_trace_store
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    reset_trace_store()
+    for _ in range(2):                               # cold, then warm
+        runner._workload_cache.clear()
+        code, _ = run_cli(capsys, "run", "bzip", "--mode", "baseline",
+                          "--scale", "0.1", "--no-cache")
+        assert code == 0
+    stats = get_trace_store().stats()
+    assert (stats["entries"], stats["programs"]) == (1, 1)
+    assert stats["program_bytes"] > 0
+    code, out = run_cli(capsys, "cache", "stats")
+    assert re.search(r"program entries\s*\|?\s*1", out)
+    [program] = get_trace_store().program_entries()
+    program.with_name(program.name + ".tmp4242").write_text('{"torn": ')
+    code, out = run_cli(capsys, "cache", "clear")
+    assert code == 0
+    assert "removed 1 compiled trace and 1 program entry" in out
+    traces = tmp_path / "traces"
+    assert traces.is_dir()
+    assert [path for path in traces.rglob("*") if path.is_file()] == []
+    runner._workload_cache.clear()
+    reset_trace_store()
+
+
 def test_sweep_subcommand_plain(capsys):
     code, out = run_cli(capsys, "sweep", "--knob", "mshrs",
                         "--values", "2", "16", "--benchmarks", "bzip",

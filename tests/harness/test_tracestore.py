@@ -7,13 +7,15 @@ parallel.  These tests pin that down, plus the store's failure modes
 (corrupt entries, salt drift).
 """
 
+import json
 import multiprocessing
 
 import pytest
 
+from repro.config import SimConfig
 from repro.harness import runner
 from repro.harness.engine import Engine, Job
-from repro.harness.runner import load_workload
+from repro.harness.runner import load_workload, run_benchmark
 from repro.harness.tracestore import (
     TraceStore,
     get_trace_store,
@@ -21,10 +23,12 @@ from repro.harness.tracestore import (
     trace_salt,
 )
 from repro.isa import traceio
+from repro.workloads import SUITE
 
 SMALL = 0.1
 NAMES = ("bzip", "milc")
 MODES = ("baseline", "cdf", "pre")
+FORK = multiprocessing.get_start_method(allow_none=False) == "fork"
 
 
 @pytest.fixture(autouse=True)
@@ -135,8 +139,7 @@ def test_salt_is_stable_within_process():
 
 # ------------------------------------------------- zero re-execution
 @pytest.mark.skipif(
-    multiprocessing.get_start_method(allow_none=False) != "fork",
-    reason="needs fork so workers inherit the monkeypatched stub")
+    not FORK, reason="needs fork so workers inherit the monkeypatched stub")
 def test_warm_store_parallel_run_never_reexecutes(monkeypatch):
     """With a warm trace store, a 2-worker engine run deserializes every
     trace: the functional model must not run in parent or children."""
@@ -151,6 +154,90 @@ def test_warm_store_parallel_run_never_reexecutes(monkeypatch):
     monkeypatch.setattr("repro.workloads.base.execute", boom)
     results = Engine(jobs=2, use_cache=False).run(jobs)
     assert len(results) == len(jobs)
+
+
+def count_builder_calls(monkeypatch, name="bzip"):
+    """Wrap *name*'s kernel builder; returns the list of its calls."""
+    calls = []
+    real = SUITE[name]
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setitem(SUITE, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [
+    1, pytest.param(2, marks=pytest.mark.skipif(
+        not FORK, reason="needs fork so workers inherit the stub"))])
+def test_warm_store_never_runs_a_kernel_builder(monkeypatch, workers):
+    """On a warm store, load_workload restores each workload from its
+    program entry: no kernel builder runs, in parent or workers, and
+    every fingerprint equals the cold run's."""
+    jobs = [Job(name, mode, scale=SMALL)
+            for name in NAMES for mode in MODES]
+    cold = Engine(jobs=1, use_cache=False).run(jobs)
+    runner._workload_cache.clear()
+
+    def boom(**_kwargs):
+        raise AssertionError("a kernel builder ran on a warm store")
+
+    for name in NAMES:
+        monkeypatch.setitem(SUITE, name, boom)
+    warm = Engine(jobs=workers, use_cache=False).run(jobs)
+    assert [r.fingerprint() for r in warm] == \
+        [r.fingerprint() for r in cold]
+
+
+def test_oracle_on_warm_store_builds_the_image_once(monkeypatch):
+    """A verify_level=2 run reads workload.memory, so the restored
+    workload runs its builder exactly once; runs that need no image run
+    none."""
+    run_benchmark("bzip", "cdf", scale=SMALL)         # cold: both entries
+    runner._workload_cache.clear()
+    calls = count_builder_calls(monkeypatch)
+    run_benchmark("bzip", "cdf", scale=SMALL)
+    assert calls == []
+    config = SimConfig.with_cdf()
+    config.verify_level = 2
+    for _ in range(2):
+        result = run_benchmark("bzip", "cdf", scale=SMALL, config=config)
+        assert result.counters["verify_oracle_uops"] > 0
+    assert calls == [{"scale": SMALL, "seed": 42}]
+
+
+def test_restored_workload_refuses_a_different_builder(monkeypatch):
+    load_workload("bzip", SMALL)
+    runner._workload_cache.clear()
+    monkeypatch.setitem(SUITE, "bzip", lambda scale, seed:
+                        SUITE["milc"](scale=scale, seed=seed))
+    workload = load_workload("bzip", SMALL)
+    with pytest.raises(RuntimeError, match="differs from the stored one"):
+        workload.memory
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:len(blob) // 2],                   # truncated
+    lambda blob: b"\xff\xfe" + blob[2:],                  # not UTF-8
+    lambda blob: blob.replace(b'"max_uops"', b'"max_uopz"'),
+    lambda blob: b"[]",
+])
+def test_corrupt_program_entry_is_dropped_and_rebuilt(monkeypatch, damage):
+    cold = run_benchmark("bzip", "cdf", scale=SMALL)
+    store = get_trace_store()
+    [entry] = store.program_entries()
+    stored = entry.read_bytes()
+    entry.write_bytes(damage(stored))
+    runner._workload_cache.clear()
+    calls = count_builder_calls(monkeypatch)
+    warm = run_benchmark("bzip", "cdf", scale=SMALL)
+    assert len(calls) == 1                           # rebuilt ...
+    assert warm.fingerprint() == cold.fingerprint()
+    [entry] = store.program_entries()
+    assert entry.read_bytes() == stored              # ... and re-stored
+    assert json.loads(stored) == load_workload("bzip", SMALL).to_json()
 
 
 # ------------------------------------------------------- bit identity

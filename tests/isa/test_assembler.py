@@ -3,6 +3,7 @@
 import pytest
 
 from repro.isa import AssemblyError, Opcode, assemble
+from repro.workloads import get_workload, suite_names
 
 
 def test_basic_assembly():
@@ -126,3 +127,11 @@ def test_roundtrip_through_disassembler():
     assert len(p) == len(p2)
     for a, b in zip(p.instructions, p2.instructions):
         assert a == b
+
+
+@pytest.mark.parametrize("name", suite_names())
+def test_every_suite_program_round_trips_through_disassembler(name):
+    program = get_workload(name, scale=0.05).program
+    again = assemble(program.disassemble())
+    assert again.instructions == program.instructions
+    assert again.labels == program.labels

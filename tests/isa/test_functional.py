@@ -1,8 +1,11 @@
 """Unit tests for the functional simulator and dynamic trace generation."""
 
+import gc
+
 import pytest
 
 from repro.isa import (
+    DynUop,
     ExecutionLimitExceeded,
     FunctionalMachine,
     Opcode,
@@ -231,3 +234,41 @@ def test_initial_memory_not_mutated_by_caller_dict():
         machine.step()
     assert mem[64] == 5          # caller's dict untouched
     assert machine.memory[64] == 9
+
+
+class _GCProbeUop(DynUop):
+    """Records whether the cyclic collector was on when each uop was
+    built."""
+
+    seen = []
+
+    def __init__(self, *args, **kwargs):
+        _GCProbeUop.seen.append(gc.isenabled())
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_execute_pauses_gc_and_restores_its_state(monkeypatch, enabled):
+    """Functional execution builds its trace with the collector paused,
+    and leaves it on or off as it found it, also when it raises."""
+    program = assemble("""
+        movi r1, 5
+    loop:
+        sub r1, r1, 1
+        bnez r1, loop
+        halt
+    """)
+    monkeypatch.setattr("repro.isa.functional.DynUop", _GCProbeUop)
+    monkeypatch.setattr(_GCProbeUop, "seen", [])
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        trace = execute(program)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ExecutionLimitExceeded):
+            execute(program, max_uops=3)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert len(_GCProbeUop.seen) == len(trace) + 3
+    assert not any(_GCProbeUop.seen)

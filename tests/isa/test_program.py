@@ -1,8 +1,11 @@
 """Unit tests for Program construction and basic-block analysis."""
 
+import json
+
 import pytest
 
-from repro.isa import Instruction, Opcode, Program, ProgramBuilder
+from repro.isa import (Instruction, Opcode, Program, ProgramBuilder,
+                       assemble)
 
 
 def _simple_loop() -> Program:
@@ -73,3 +76,39 @@ def test_disassemble_mentions_labels():
     text = p.disassemble()
     assert "loop:" in text
     assert "bnez r1" in text
+
+
+def test_json_form_round_trips():
+    program = assemble("""
+    start:
+        movi r1, -3
+        load r2, [r5 + r1*8 + 64]
+        store r2, [r5 + -8]
+        div r3, r2, 7
+        bltz r1, start
+        call fn
+        halt
+    fn:
+        ret
+    """)
+    data = json.loads(json.dumps(program.to_json()))
+    again = Program.from_json(data)
+    assert again.instructions == program.instructions
+    assert again.labels == program.labels
+    assert again.to_json() == program.to_json()
+    assert again.leaders == program.leaders
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data.pop("labels"),
+    lambda data: data["instructions"][0].append(0),
+    lambda data: data["instructions"][0].__setitem__(0, 999),
+])
+def test_malformed_json_form_is_rejected(damage):
+    b = ProgramBuilder()
+    b.movi(1, 1)
+    b.halt()
+    data = b.build().to_json()
+    damage(data)
+    with pytest.raises((KeyError, TypeError, ValueError)):
+        Program.from_json(data)

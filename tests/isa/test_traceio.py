@@ -1,12 +1,13 @@
 """Unit tests for binary trace serialisation."""
 
+import gc
 import struct
 
 import pytest
 
 from repro.config import SimConfig
 from repro.core import BaselinePipeline
-from repro.isa import assemble, execute
+from repro.isa import DynUop, assemble, execute
 from repro.isa import traceio
 from repro.isa.traceio import (TraceFormatError, dumps_trace, load_trace,
                                save_trace)
@@ -139,3 +140,38 @@ def test_current_format_is_v2_columnar():
     data = dumps_trace(trace)
     version = struct.unpack_from("<H", data, 4)[0]
     assert version == traceio.VERSION == 2
+
+
+class _GCProbeUop(DynUop):
+    """Records whether the cyclic collector was on when each uop was
+    built."""
+
+    seen = []
+
+    def __init__(self, *args, **kwargs):
+        _GCProbeUop.seen.append(gc.isenabled())
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loads_trace_pauses_gc_and_restores_its_state(monkeypatch, enabled):
+    """The decoder builds uops with the collector paused, and leaves it
+    on or off as it found it, also when the trace is corrupt."""
+    _, trace = sample_trace()
+    data = dumps_trace(trace)
+    corrupt = bytearray(data)
+    corrupt[traceio._COLUMNS_OFFSET + 4 * len(trace) + 1] = 0xFE  # op
+    monkeypatch.setattr(traceio, "DynUop", _GCProbeUop)
+    monkeypatch.setattr(_GCProbeUop, "seen", [])
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert len(traceio.loads_trace(data)) == len(trace)
+        assert gc.isenabled() is enabled
+        with pytest.raises(TraceFormatError, match="at uop 1"):
+            traceio.loads_trace(bytes(corrupt))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert len(_GCProbeUop.seen) == len(trace) + 1
+    assert not any(_GCProbeUop.seen)

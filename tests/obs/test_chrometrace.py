@@ -65,8 +65,9 @@ def test_mem_requests_become_matched_async_slices():
     assert begins[1]["args"]["merged"] is True
 
 
-def test_uop_slices_use_dispatch_to_retire_and_cap():
-    trace = export_chrome_trace(_payload(), max_uop_slices=1)
+def test_uop_slices_use_dispatch_to_retire_and_cap(monkeypatch):
+    monkeypatch.setattr("repro.obs.chrometrace.DEFAULT_MAX_UOP_SLICES", 1)
+    trace = export_chrome_trace(_payload())
     slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     assert len(slices) == 1
     assert slices[0]["name"] == "uop 0"

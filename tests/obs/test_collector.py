@@ -85,9 +85,10 @@ def test_on_run_end_takes_final_sample_and_sets_counters():
     assert pipeline.counters["obs_uop_events"] == 0
 
 
-def test_mem_request_aggregation_and_level2_rows():
+def test_mem_request_aggregation_and_level2_rows(monkeypatch):
+    monkeypatch.setattr("repro.obs.collector.DEFAULT_MAX_MEM_EVENTS", 2)
     pipeline = _FakePipeline()
-    collector = ObsCollector(level=2, max_mem_events=2).bind(pipeline)
+    collector = ObsCollector(level=2).bind(pipeline)
     collector.on_mem_request(0, 100, 0x40, "dram", "demand", merged=False)
     collector.on_mem_request(1, 100, 0x40, "dram", "demand", merged=True)
     collector.on_mem_request(2, 30, 0x80, "llc", "prefetch", merged=False)
