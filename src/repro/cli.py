@@ -482,11 +482,9 @@ def cmd_cache(args) -> int:
     removed = cache.clear()
     print(f"removed {removed} cached result"
           f"{'s' if removed != 1 else ''} from {cache.root}")
-    cleared = store.clear()
-    traces, programs = cleared["entries"], cleared["programs"]
-    print(f"removed {traces} compiled trace{'s' if traces != 1 else ''}"
-          f" and {programs} program entr{'ies' if programs != 1 else 'y'}"
-          f" from {store.root}")
+    removed_traces = store.clear()
+    print(f"removed {removed_traces} compiled trace"
+          f"{'s' if removed_traces != 1 else ''} from {store.root}")
     return 0
 
 

@@ -202,17 +202,12 @@ class TraceStore:
             "program_bytes": sum(path.stat().st_size for path in programs),
         }
 
-    def clear(self) -> dict:
+    def clear(self) -> int:
         """Delete every trace and program entry, plus the temp files of
-        writers killed before their rename; returns how many traces
-        (``entries``) and program entries (``programs``) it removed."""
-        removed = {"entries": 0, "programs": 0}
-        for kind, paths in (("entries", self.entries()),
-                            ("programs", self.program_entries())):
-            for path in paths:
-                if _unlink(path):
-                    removed[kind] += 1
-        for path in self._glob("*/*.tmp*"):
+        writers killed before their rename; returns the number of traces
+        removed."""
+        removed = sum(_unlink(path) for path in self.entries())
+        for path in self.program_entries() + self._glob("*/*.tmp*"):
             _unlink(path)
         return removed
 

@@ -68,7 +68,8 @@ class DynUop:
 
 @contextlib.contextmanager
 def gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector while a trace is built in bulk.
+    """Pause the cyclic garbage collector while a trace is built in bulk
+    (as a ``with`` block or, as the trace builders use it, a decorator).
 
     A trace cannot form a reference cycle: a ``DynUop`` holds only ints,
     bools, None and tuples of ints.  Yet every uop counts toward the

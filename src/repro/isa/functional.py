@@ -132,6 +132,7 @@ class FunctionalMachine:
         return inst
 
 
+@gc_paused()
 def execute(program: Program, memory: Optional[Dict[int, int]] = None,
             max_uops: int = 2_000_000,
             require_halt: bool = True) -> List[DynUop]:
@@ -147,48 +148,47 @@ def execute(program: Program, memory: Optional[Dict[int, int]] = None,
     last_writer = [-1] * NUM_ARCH_REGS
     last_store: Dict[int, int] = {}
     seq = 0
-    with gc_paused():
-        while not machine.halted:
-            if seq >= max_uops:
-                if require_halt:
-                    raise ExecutionLimitExceeded(
-                        f"program did not halt within {max_uops} uops")
-                break
-            pc = machine.pc
-            inst = machine.program[pc]
-            mem_addr = machine._mem_addr(inst) if inst.is_mem else None
-            inst = machine.step()
-            next_pc = machine.pc
+    while not machine.halted:
+        if seq >= max_uops:
+            if require_halt:
+                raise ExecutionLimitExceeded(
+                    f"program did not halt within {max_uops} uops")
+            break
+        pc = machine.pc
+        inst = machine.program[pc]
+        mem_addr = machine._mem_addr(inst) if inst.is_mem else None
+        inst = machine.step()
+        next_pc = machine.pc
 
-            srcs = inst.source_regs()
-            deps = []
-            for reg in srcs:
-                producer = last_writer[reg]
-                if producer >= 0:
-                    deps.append(producer)
-            store_dep = -1
-            if inst.is_load and mem_addr is not None:
-                store_dep = last_store.get(mem_addr, -1)
+        srcs = inst.source_regs()
+        deps = []
+        for reg in srcs:
+            producer = last_writer[reg]
+            if producer >= 0:
+                deps.append(producer)
+        store_dep = -1
+        if inst.is_load and mem_addr is not None:
+            store_dep = last_store.get(mem_addr, -1)
 
-            taken = inst.is_branch and next_pc != pc + 1
-            if inst.op in (Opcode.JMP, Opcode.CALL, Opcode.RET):
-                taken = True
+        taken = inst.is_branch and next_pc != pc + 1
+        if inst.op in (Opcode.JMP, Opcode.CALL, Opcode.RET):
+            taken = True
 
-            uop = DynUop(
-                seq=seq, pc=pc, op=int(inst.op), dst=inst.dst, srcs=srcs,
-                exec_lat=EXEC_LATENCY[inst.op],
-                is_load=inst.is_load, is_store=inst.is_store,
-                is_branch=inst.is_branch, is_cond_branch=inst.is_cond_branch,
-                mem_addr=mem_addr, taken=taken, next_pc=next_pc,
-                src_deps=tuple(dict.fromkeys(deps)), store_dep=store_dep,
-                exec_class=EXEC_CLASS[inst.op])
-            trace.append(uop)
+        uop = DynUop(
+            seq=seq, pc=pc, op=int(inst.op), dst=inst.dst, srcs=srcs,
+            exec_lat=EXEC_LATENCY[inst.op],
+            is_load=inst.is_load, is_store=inst.is_store,
+            is_branch=inst.is_branch, is_cond_branch=inst.is_cond_branch,
+            mem_addr=mem_addr, taken=taken, next_pc=next_pc,
+            src_deps=tuple(dict.fromkeys(deps)), store_dep=store_dep,
+            exec_class=EXEC_CLASS[inst.op])
+        trace.append(uop)
 
-            if inst.writes_reg:
-                last_writer[inst.dst] = seq
-            if inst.is_store and mem_addr is not None:
-                last_store[mem_addr] = seq
-            seq += 1
+        if inst.writes_reg:
+            last_writer[inst.dst] = seq
+        if inst.is_store and mem_addr is not None:
+            last_store[mem_addr] = seq
+        seq += 1
     return trace
 
 

@@ -131,6 +131,7 @@ def save_trace(trace: List[DynUop], path: str) -> None:
         handle.write(dumps_trace(trace))
 
 
+@gc_paused()
 def _loads_v2(data: bytes, context: str) -> List[DynUop]:
     if len(data) < _COLUMNS_OFFSET:
         raise TraceFormatError(
@@ -183,29 +184,28 @@ def _loads_v2(data: bytes, context: str) -> List[DynUop]:
     mem_i = 0
     load_i = 0
     try:
-        with gc_paused():
-            for seq, pc, op, flags, dst, k_srcs, next_pc, k_deps in zip(
-                    range(n), pcs, ops, flags_col, dsts, n_srcs, next_pcs,
-                    n_deps):
-                (is_load, is_store, is_branch, is_cond, taken,
-                 has_mem) = flag_decode[flags]
-                srcs = srcs_all[src_off:src_off + k_srcs]
-                src_off += k_srcs
-                deps = deps_blob[dep_off:dep_off + k_deps]
-                dep_off += k_deps
-                mem_addr = None
-                if has_mem:
-                    mem_addr = mem_addrs[mem_i]
-                    mem_i += 1
-                store_dep = -1
-                if is_load:
-                    store_dep = store_deps[load_i]
-                    load_i += 1
-                append(dynuop(
-                    seq, pc, op, None if dst == 0xFF else dst, srcs,
-                    lat_by_op[op], is_load, is_store, is_branch, is_cond,
-                    mem_addr, taken, next_pc, deps, store_dep,
-                    class_by_op[op]))
+        for seq, pc, op, flags, dst, k_srcs, next_pc, k_deps in zip(
+                range(n), pcs, ops, flags_col, dsts, n_srcs, next_pcs,
+                n_deps):
+            (is_load, is_store, is_branch, is_cond, taken,
+             has_mem) = flag_decode[flags]
+            srcs = srcs_all[src_off:src_off + k_srcs]
+            src_off += k_srcs
+            deps = deps_blob[dep_off:dep_off + k_deps]
+            dep_off += k_deps
+            mem_addr = None
+            if has_mem:
+                mem_addr = mem_addrs[mem_i]
+                mem_i += 1
+            store_dep = -1
+            if is_load:
+                store_dep = store_deps[load_i]
+                load_i += 1
+            append(dynuop(
+                seq, pc, op, None if dst == 0xFF else dst, srcs,
+                lat_by_op[op], is_load, is_store, is_branch, is_cond,
+                mem_addr, taken, next_pc, deps, store_dep,
+                class_by_op[op]))
     except (KeyError, IndexError, struct.error) as exc:
         raise TraceFormatError(f"{context}: truncated or corrupt "
                                f"at uop {len(trace)}: {exc}") from exc

@@ -183,7 +183,7 @@ def test_cache_clear_leaves_no_file_under_traces(capsys, tmp_path,
     program.with_name(program.name + ".tmp4242").write_text('{"torn": ')
     code, out = run_cli(capsys, "cache", "clear")
     assert code == 0
-    assert "removed 1 compiled trace and 1 program entry" in out
+    assert "removed 1 compiled trace" in out
     traces = tmp_path / "traces"
     assert traces.is_dir()
     assert [path for path in traces.rglob("*") if path.is_file()] == []
