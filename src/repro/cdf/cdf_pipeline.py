@@ -428,6 +428,7 @@ class CDFPipeline(BaselinePipeline):
         frontend_q = self.frontend_q
         frontend_cap = self.frontend_cap
         counters = self.counters
+        event_log = self.event_log
         fetched = 0
         ready_at = cycle + decode + self._extra_stage
         while budget and len(frontend_q) < frontend_cap \
@@ -436,6 +437,8 @@ class CDFPipeline(BaselinePipeline):
             self._touch_icache(cycle, uop.pc)
             self.fetch_seq += 1
             frontend_q.append((ready_at, uop))
+            if event_log is not None:
+                event_log.append((cycle, "F", uop.seq))
             fetched += 1
             budget -= 1
             if uop.is_branch:

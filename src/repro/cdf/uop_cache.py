@@ -118,7 +118,3 @@ class CriticalUopCache:
         entry.bb_start = -1
         entry.mask = 0
         return True
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0

@@ -189,10 +189,6 @@ class DRAMConfig(_Freezable):
         ratio = core_freq_ghz * 1000.0 / self.mem_freq_mhz
         return int(mem_cycles * ratio + 0.999)
 
-    @property
-    def total_banks(self) -> int:
-        return self.channels * self.ranks * self.bank_groups * self.banks_per_group
-
 
 @dataclass
 class CDFConfig(_Freezable):

@@ -69,9 +69,3 @@ class BranchUnit:
         if btb_miss:
             self.btb_misses += 1
         return BranchOutcome(mispredicted, btb_miss, predicted_taken)
-
-    def mpki(self, retired_uops: int) -> float:
-        """Branch mispredictions per kilo-instruction."""
-        if retired_uops == 0:
-            return 0.0
-        return 1000.0 * self.mispredicts / retired_uops

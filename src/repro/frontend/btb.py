@@ -52,7 +52,3 @@ class BTB:
         tags[victim] = pc
         self._targets[set_index][victim] = target
         lru.append(victim)
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 1.0

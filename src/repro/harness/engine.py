@@ -7,9 +7,11 @@ parallel. This module is the single execution layer those drivers share:
 
 * **Job model** — :class:`Job` names one simulation point. ``kind``
   selects the executor: ``"sim"`` runs ``run_benchmark`` and yields a
-  :class:`~repro.stats.SimResult`; ``"rob_profile"`` runs the Fig. 1
-  ROB-stall profile and yields a float-carrying dict. New kinds register
-  in :data:`JOB_KINDS` with an executor plus JSON encode/decode hooks.
+  :class:`~repro.stats.SimResult`; ``"hinted_cdf"`` runs
+  ``run_hinted_cdf`` (CDF with preloaded chain hints) and yields one
+  too; ``"rob_profile"`` runs the Fig. 1 ROB-stall profile and yields a
+  float-carrying dict. New kinds register in :data:`JOB_KINDS` with an
+  executor plus JSON encode/decode hooks.
 
 * **Parallel execution** — :class:`Engine` runs cache misses through a
   ``concurrent.futures.ProcessPoolExecutor``. Worker count comes from
@@ -164,6 +166,12 @@ def _run_sim_job(job: Job) -> SimResult:
                          seed=job.seed, config=job.config)
 
 
+def _run_hinted_cdf_job(job: Job) -> SimResult:
+    from .runner import run_hinted_cdf
+    return run_hinted_cdf(job.benchmark, scale=job.scale, seed=job.seed,
+                          config=job.config)
+
+
 def _run_rob_profile_job(job: Job) -> dict:
     from .runner import rob_stall_profile
     fraction = rob_stall_profile(job.benchmark, scale=job.scale,
@@ -186,6 +194,9 @@ JOB_KINDS: Dict[str, JobKind] = {
     "sim": JobKind(execute=_run_sim_job,
                    encode=lambda result: result.to_dict(),
                    decode=SimResult.from_dict),
+    "hinted_cdf": JobKind(execute=_run_hinted_cdf_job,
+                          encode=lambda result: result.to_dict(),
+                          decode=SimResult.from_dict),
     "rob_profile": JobKind(execute=_run_rob_profile_job,
                            encode=lambda result: dict(result),
                            decode=lambda payload: {

@@ -3,17 +3,17 @@
 Each ``fig*``/``ablation_*``/``extension_*`` function runs one study of
 the paper's evaluation (see DESIGN.md Sec. 3) and returns a plain dict of
 results; the claim registry (:mod:`repro.harness.figures`) reduces those
-dicts to the scalars it checks. The full-suite comparison runs are
-cached per (names, scale, seed) so the Fig. 13-16 claims share one set
-of simulations.
+dicts to the scalars it checks.
 
-Every run that is a plain suite job goes through the engine
-(:mod:`repro.harness.engine`), so studies parallelize across
-``REPRO_JOBS`` worker processes and completed points are memoized in the
-persistent result cache — a warm-cache ``repro-sim figures --full``
-rerun simulates only the runs that are not suite jobs: hinted CDF, the
-FDIV-chain kernel and the phased programs. Those studies are memoized
-in-process instead, so claims that share one run it once.
+Every simulation a study needs is an engine job
+(:mod:`repro.harness.engine`): a study builds a job list, runs it and
+reassembles the results.  So studies parallelize across ``REPRO_JOBS``
+worker processes, and every completed point is memoized in the
+persistent result cache: a warm-cache ``repro-sim figures --full``
+rerun simulates nothing.  The three-core comparison
+(:func:`get_comparison`) and the hint and long-latency studies are also
+memoized in-process, so the claims that share one of them run it once
+per process, with or without the result cache.
 """
 
 from __future__ import annotations
@@ -25,20 +25,15 @@ from ..config import SimConfig
 from ..stats.metrics import geomean
 from ..workloads import DEFAULT_SEED, suite_names
 from .engine import Job, get_engine
-from .runner import (
-    config_for_mode,
-    load_workload,
-    make_pipeline,
-    run_comparison,
-    speedups,
-)
+from .runner import config_for_mode, run_comparison, speedups
 
 _comparison_cache: Dict[Tuple, Dict] = {}
 
 
 def get_comparison(names: Optional[Sequence[str]] = None, scale: float = 1.0,
                    seed: int = DEFAULT_SEED):
-    """Cached three-core comparison shared by the Fig. 13-16 claims."""
+    """Cached three-core comparison shared by the Fig. 13-16 claims
+    and, on the phased programs, the Sec. 4.2 SimPoint claims."""
     names = tuple(names or suite_names())
     key = (names, scale, seed)
     if key not in _comparison_cache:
@@ -120,24 +115,32 @@ def ablation_critical_branches(names: Optional[Sequence[str]] = None,
     }
 
 
+def _run_arms(names: Sequence[str],
+              arms: Dict[object, Tuple[str, Optional[SimConfig], str]],
+              scale: float, seed: int) -> Dict:
+    """Run each of *names* under every arm of *arms*, which maps a label
+    to a job's ``(mode, config, kind)``; returns ``{name: {label:
+    result}}``."""
+    jobs = [Job(name, mode, scale=scale, seed=seed, config=config,
+                kind=kind)
+            for name in names for mode, config, kind in arms.values()]
+    flat = iter(get_engine().run(jobs))
+    return {name: {label: next(flat) for label in arms} for name in names}
+
+
 def _against_default_cdf(names: Sequence[str], variant: SimConfig,
                          labels: Tuple[str, str], scale: float,
                          seed: int) -> Dict:
     """Speedup over baseline of default CDF and of a *variant* CDF
     config, per kernel and as geomeans, under the two *labels*."""
-    names = list(names)
-    jobs = []
-    for name in names:
-        jobs.append(Job(name, "baseline", scale=scale, seed=seed))
-        jobs.append(Job(name, "cdf", scale=scale, seed=seed))
-        jobs.append(Job(name, "cdf", scale=scale, seed=seed,
-                        config=variant))
-    flat = get_engine().run(jobs)
-    out: Dict[str, Dict[str, float]] = {label: {} for label in labels}
-    for position, name in enumerate(names):
-        base, default, changed = flat[3 * position:3 * position + 3]
-        out[labels[0]][name] = default.speedup_over(base)
-        out[labels[1]][name] = changed.speedup_over(base)
+    runs = _run_arms(names, {"base": ("baseline", None, "sim"),
+                             labels[0]: ("cdf", None, "sim"),
+                             labels[1]: ("cdf", variant, "sim")},
+                     scale, seed)
+    out: Dict[str, Dict[str, float]] = {
+        label: {name: run[label].speedup_over(run["base"])
+                for name, run in runs.items()}
+        for label in labels}
     out["geomean"] = {label: geomean(out[label].values())
                       for label in labels}
     return out
@@ -177,19 +180,13 @@ def ablation_disambiguation(names: Sequence[str], scale: float = 1.0,
     """Sec. 3.5 context: baseline and CDF under the oracle (default) and
     the conservative memory-disambiguation policies; returns
     ``{name: {(policy, mode): SimResult}}``."""
-    names = list(names)
-    points = [(policy, mode) for policy in ("oracle", "conservative")
-              for mode in ("baseline", "cdf")]
-    jobs = []
-    for name in names:
-        for policy, mode in points:
+    arms = {}
+    for policy in ("oracle", "conservative"):
+        for mode in ("baseline", "cdf"):
             config = config_for_mode(mode)
             config.core.memory_disambiguation = policy
-            jobs.append(Job(name, mode, scale=scale, seed=seed,
-                            config=config))
-    flat = iter(get_engine().run(jobs))
-    return {name: {point: next(flat) for point in points}
-            for name in names}
+            arms[(policy, mode)] = (mode, config, "sim")
+    return _run_arms(names, arms, scale, seed)
 
 
 # -------------------------------------------------------------- extensions
@@ -197,70 +194,29 @@ def ablation_disambiguation(names: Sequence[str], scale: float = 1.0,
 def extension_static_hints(names: Tuple[str, ...], scale: float = 1.0,
                            seed: int = DEFAULT_SEED) -> Dict:
     """Sec. 6 future work: CDF with profile-guided chain hints preloaded
-    into the critical uop cache, against hardware-trained CDF; returns
-    ``{name: {"baseline"|"cdf"|"hinted": SimResult}}``. The baseline
-    and plain CDF runs are engine jobs; the hinted run is not."""
-    from ..cdf import CDFPipeline, preload_hints, profile_chains
-    jobs = [Job(name, mode, scale=scale, seed=seed)
-            for name in names for mode in ("baseline", "cdf")]
-    flat = get_engine().run(jobs)
-    out = {}
-    for position, name in enumerate(names):
-        workload = load_workload(name, scale, seed)
-        trace = workload.trace()
-        hints = profile_chains(workload.program, trace, profile_uops=9000)
-        config = config_for_mode("cdf")
-        config.stats_warmup_uops = workload.warmup_uops()
-        pipeline = CDFPipeline(trace, config, workload.program)
-        preload_hints(pipeline, hints)
-        base, plain = flat[2 * position:2 * position + 2]
-        out[name] = {"baseline": base, "cdf": plain,
-                     "hinted": pipeline.run()}
-    return out
-
-
-def fdiv_chain_kernel(iters: int, chain_len: int = 12, noncrit: int = 30):
-    """Independent serial-FDIV chains inside a light loop body: a kernel
-    bound by long-latency arithmetic, with no cache misses at all."""
-    from ..isa import ProgramBuilder
-    b = ProgramBuilder()
-    b.movi(1, iters)
-    b.label("loop")
-    b.movi(4, 17)
-    for _ in range(chain_len):
-        b.fdiv(4, 4, imm=3)
-    b.fadd(5, 5, 4)
-    for i in range(noncrit):
-        b.movi(20 + i % 6, 7 + i)
-    b.sub(1, 1, imm=1)
-    b.bnez(1, "loop")
-    b.halt()
-    return b.build()
+    into the critical uop cache (``"hinted_cdf"`` jobs), against
+    hardware-trained CDF; returns ``{name: {"baseline"|"cdf"|"hinted":
+    SimResult}}``."""
+    return _run_arms(names, {"baseline": ("baseline", None, "sim"),
+                             "cdf": ("cdf", None, "sim"),
+                             "hinted": ("cdf", None, "hinted_cdf")},
+                     scale, seed)
 
 
 @functools.lru_cache(maxsize=None)
-def extension_longlat(scale: float = 1.0) -> Dict:
-    """Sec. 6: criticality beyond loads. Runs the FDIV-chain kernel
-    (1000 iterations at scale 1.0, never fewer than 600) on the baseline
-    core, on CDF with load criticality only, and on CDF with long-latency
-    roots marked critical; returns ``{"baseline"|"loads_only"|
-    "longlat": SimResult}``."""
-    from ..cdf import CDFPipeline
-    from ..core import BaselinePipeline
-    from ..isa import execute
-    program = fdiv_chain_kernel(max(600, int(1000 * scale)))
-    trace = execute(program)
-    warmup = len(trace) // 3
-    configs = {"baseline": config_for_mode("baseline"),
-               "loads_only": config_for_mode("cdf"),
-               "longlat": config_for_mode("cdf")}
-    configs["longlat"].cdf.mark_longlat_critical = True
-    out = {}
-    for label, config in configs.items():
-        config.stats_warmup_uops = warmup
-        out[label] = (BaselinePipeline(trace, config) if label == "baseline"
-                      else CDFPipeline(trace, config, program)).run()
-    return out
+def extension_longlat(names: Tuple[str, ...], scale: float = 1.0,
+                      seed: int = DEFAULT_SEED) -> Dict:
+    """Sec. 6: criticality beyond loads. Runs each of *names* (the
+    FDIV-chain kernel, :mod:`repro.workloads.fdiv_chain`) on the
+    baseline core, on CDF with load criticality only, and on CDF with
+    long-latency roots marked critical; returns ``{name:
+    {"baseline"|"loads_only"|"longlat": SimResult}}``."""
+    longlat = config_for_mode("cdf")
+    longlat.cdf.mark_longlat_critical = True
+    return _run_arms(names, {"baseline": ("baseline", None, "sim"),
+                             "loads_only": ("cdf", None, "sim"),
+                             "longlat": ("cdf", longlat, "sim")},
+                     scale, seed)
 
 
 #: Main-memory timing factors the memory-speed claims read: 1.0 is
@@ -289,30 +245,3 @@ def extension_mshr_scaling(names: Sequence[str], scale: float = 1.0,
     return geomean_speedups(sweep(mshr_knob, MSHR_COUNTS, names,
                                   modes=("baseline", "cdf"), scale=scale,
                                   seed=seed))
-
-
-@functools.lru_cache(maxsize=None)
-def extension_simpoints(scale: float = 1.0,
-                        seed: int = DEFAULT_SEED) -> Dict:
-    """Sec. 4.2 'Note on PRE Results': the memory phase alone (the
-    single-SimPoint pick), the compute phase alone and the whole
-    two-phase program, each under all three cores; returns
-    ``{"memory"|"compute"|"whole": {mode: SimResult}}``."""
-    from ..workloads.phased import (
-        build_phased,
-        build_phased_compute_only,
-        build_phased_memory_only,
-    )
-    out = {}
-    for label, build in (("memory", build_phased_memory_only),
-                         ("compute", build_phased_compute_only),
-                         ("whole", build_phased)):
-        workload = build(scale=scale, seed=seed)
-        trace = workload.trace()
-        out[label] = {}
-        for mode in ("baseline", "cdf", "pre"):
-            config = config_for_mode(mode)
-            config.stats_warmup_uops = workload.warmup_uops()
-            out[label][mode] = make_pipeline(mode, trace, config,
-                                             workload).run()
-    return out

@@ -7,10 +7,10 @@ per claim), plus the machinery to run them all with one command —
 per-claim verdict.
 
 Each spec names the paper figure/table it comes from, the claim in
-prose, the paper's number, a metric extractor
+prose, the paper's number, its metric function
 (:mod:`repro.harness.extractors`) over the studies in
 :mod:`repro.harness.experiments`, and a tolerance band, in up to two
-execution profiles:
+execution profiles, each naming the workloads it simulates:
 
 **QUICK**
     CI-sized: a 6-kernel subset at workload scale 0.3.  Every claim
@@ -75,7 +75,8 @@ from ..workloads import (
     suite_names,
 )
 from .engine import code_salt
-from .extractors import RUNNERS, Profile
+from . import extractors
+from .extractors import Metric, Profile
 from .tables import render_table
 
 #: Stable schema version for BENCH_figures.json / figures_baseline.json
@@ -127,12 +128,15 @@ MEMORY_SPEED_NAMES = ("astar", "milc", "zeusmp", "GemsFDTD")
 MSHR_NAMES = ("astar", "milc")
 
 
+#: Study programs that are not suite kernels
+#: (:data:`repro.workloads.STUDY_PROGRAMS`): the FDIV-chain kernel, and
+#: the phased SimPoint programs — the memory phase alone, the compute
+#: phase alone, and the whole two-phase program.
+LONGLAT_NAMES = ("fdiv_chain",)
+SIMPOINT_NAMES = ("phased_memory", "phased_compute", "phased")
+
 #: Analytic claims (Table 1 area) run no simulations at all.
 ANALYTIC = Profile(names=(), scale=0.0)
-
-#: FULL profile of the claims on synthetic programs that are not suite
-#: kernels (the FDIV-chain kernel, the phased SimPoint programs).
-SYNTHETIC = Profile(names=(), scale=FULL_SCALE)
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,10 @@ class FigureSpec:
     ``paper_value`` is a match, within ``tolerance`` of it is
     within-tolerance.  Units of ``paper_value``/``match_tol``/
     ``tolerance`` are the claim's ``unit``.
+
+    ``metric`` maps a profile (the workloads and scale of ``quick`` or
+    ``full``) and a seed to the measured value; a planned claim has
+    none.
     """
     fig_id: str
     paper_ref: str
@@ -155,7 +163,7 @@ class FigureSpec:
     kind: str = "value"          # "value" | "min" | "max"
     match_tol: float = 0.0
     tolerance: float = 0.0
-    runner: str = ""             # key into RUNNERS
+    metric: Optional[Metric] = None
     quick: Optional[Profile] = None
     full: Optional[Profile] = None
     status: str = "implemented"  # "implemented" | "planned"
@@ -230,7 +238,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "window is mostly non-critical work.",
         unit="% of ROB", paper_value=25.0, kind="value",
         match_tol=15.0, tolerance=20.0,
-        runner="fig1_critical_fraction", quick=_quick(), full=_full(),
+        metric=extractors.fig1_critical_fraction, quick=_quick(), full=_full(),
         note="Paper reports a per-benchmark range; we compare the mean "
              "over stalling benchmarks against the band's midpoint."),
     FigureSpec(
@@ -239,7 +247,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         claim="Full-window stalls are common: at least 8 of the 18 "
               "kernels stall with a full ROB on the baseline core.",
         unit="kernels", paper_value=8.0, kind="min",
-        runner="fig1_stalling_kernels", full=_full()),
+        metric=extractors.fig1_stalling_kernels, full=_full()),
     FigureSpec(
         fig_id="fig1-sparse-critical-share",
         paper_ref="Fig. 1",
@@ -247,7 +255,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "under half of the stalled ROB (mean over the stalling "
               "kernels).",
         unit="% of ROB", paper_value=50.0, kind="max",
-        runner="fig1_sparse_share", full=_full()),
+        metric=extractors.fig1_sparse_share, full=_full()),
     FigureSpec(
         fig_id="fig1-stencil-highest",
         paper_ref="Fig. 1",
@@ -255,7 +263,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "critical share is no more than 50pp below the largest "
               "of the other stalling kernels.",
         unit="pp", paper_value=-50.0, kind="min",
-        runner="fig1_stencil_gap", full=_full()),
+        metric=extractors.fig1_stencil_gap, full=_full()),
     FigureSpec(
         fig_id="fig13-cdf-uplift",
         paper_ref="Fig. 13",
@@ -263,47 +271,47 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "core.",
         unit="%", paper_value=6.1, kind="value",
         match_tol=2.0, tolerance=6.0,
-        runner="fig13_cdf_uplift", quick=_quick(), full=_full()),
+        metric=extractors.fig13_cdf_uplift, quick=_quick(), full=_full()),
     FigureSpec(
         fig_id="fig13-pre-uplift",
         paper_ref="Fig. 13",
         claim="PRE (precise runahead) improves geomean IPC by 2.6%.",
         unit="%", paper_value=2.6, kind="value",
         match_tol=2.0, tolerance=6.0,
-        runner="fig13_pre_uplift", quick=_quick(), full=_full()),
+        metric=extractors.fig13_pre_uplift, quick=_quick(), full=_full()),
     FigureSpec(
         fig_id="fig13-cdf-beats-pre",
         paper_ref="Fig. 13",
         claim="CDF outperforms PRE (positive geomean IPC margin).",
         unit="pp", paper_value=0.0, kind="min", tolerance=1.0,
-        runner="fig13_cdf_margin", quick=_quick(), full=_full()),
+        metric=extractors.fig13_cdf_margin, quick=_quick(), full=_full()),
     FigureSpec(
         fig_id="fig13-branch-cdf-uplift",
         paper_ref="Fig. 13",
         claim="CDF gains at least 3% geomean IPC on the "
               "branch-sensitive family (bzip, astar, mcf, soplex).",
         unit="%", paper_value=3.0, kind="min",
-        runner="fig13_cdf_uplift", full=_full(BRANCH_SENSITIVE)),
+        metric=extractors.fig13_cdf_uplift, full=_full(BRANCH_SENSITIVE)),
     FigureSpec(
         fig_id="fig13-branch-cdf-beats-pre",
         paper_ref="Fig. 13",
         claim="CDF outperforms PRE on the branch-sensitive family.",
         unit="pp", paper_value=0.0, kind="min",
-        runner="fig13_cdf_margin", full=_full(BRANCH_SENSITIVE)),
+        metric=extractors.fig13_cdf_margin, full=_full(BRANCH_SENSITIVE)),
     FigureSpec(
         fig_id="fig13-nab-cdf-uplift",
         paper_ref="Sec. 2.3",
         claim="nab gains at least 5% under CDF, from faster initiation "
               "of its distant misses.",
         unit="%", paper_value=5.0, kind="min",
-        runner="fig13_cdf_uplift", full=_full(("nab",))),
+        metric=extractors.fig13_cdf_uplift, full=_full(("nab",))),
     FigureSpec(
         fig_id="fig13-nab-pre-uplift",
         paper_ref="Sec. 2.3",
         claim="PRE gains at most 2% on nab: its misses lie too far "
               "apart for runahead to reach.",
         unit="%", paper_value=2.0, kind="max",
-        runner="fig13_pre_uplift", full=_full(("nab",))),
+        metric=extractors.fig13_pre_uplift, full=_full(("nab",))),
     FigureSpec(
         fig_id="fig13-stencil-pre-beats-cdf",
         paper_ref="Fig. 13",
@@ -311,28 +319,28 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "(zeusmp, GemsFDTD, fotonik3d, roms): the CDF-over-PRE "
               "margin is at most 0.",
         unit="pp", paper_value=0.0, kind="max",
-        runner="fig13_cdf_margin", full=_full(PRE_FAVOURABLE)),
+        metric=extractors.fig13_cdf_margin, full=_full(PRE_FAVOURABLE)),
     FigureSpec(
         fig_id="fig13-stencil-cdf-neutral",
         paper_ref="Fig. 13",
         claim="CDF stays within 3% of the baseline on the "
               "dense-stencil family: its chains are too dense to skip.",
         unit="%", paper_value=0.0, kind="value", match_tol=3.0,
-        runner="fig13_cdf_uplift", full=_full(PRE_FAVOURABLE)),
+        metric=extractors.fig13_cdf_uplift, full=_full(PRE_FAVOURABLE)),
     FigureSpec(
         fig_id="fig13-neutral-cdf-neutral",
         paper_ref="Fig. 13",
         claim="CDF stays within 4% of the baseline on the neutral "
               "family (leslie3d, sphinx, wrf, parest, omnetpp).",
         unit="%", paper_value=0.0, kind="value", match_tol=4.0,
-        runner="fig13_cdf_uplift", full=_full(NEUTRAL)),
+        metric=extractors.fig13_cdf_uplift, full=_full(NEUTRAL)),
     FigureSpec(
         fig_id="fig14-cdf-mlp",
         paper_ref="Fig. 14",
         claim="CDF raises memory-level parallelism over the baseline "
               "by overlapping critical-load misses.",
         unit="x", paper_value=1.0, kind="min", tolerance=0.05,
-        runner="fig14_cdf_mlp", quick=_quick(), full=_full()),
+        metric=extractors.fig14_cdf_mlp, quick=_quick(), full=_full()),
     FigureSpec(
         fig_id="fig14-pre-mlp-excess",
         paper_ref="Fig. 14",
@@ -340,13 +348,13 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "wrong-chain loads that raise MLP without helping "
               "performance.",
         unit="x", paper_value=0.0, kind="min", tolerance=0.05,
-        runner="fig14_pre_excess", quick=_quick(), full=_full()),
+        metric=extractors.fig14_pre_excess, quick=_quick(), full=_full()),
     FigureSpec(
         fig_id="fig14-pre-mlp",
         paper_ref="Fig. 14",
         claim="PRE raises memory-level parallelism over the baseline.",
         unit="x", paper_value=1.0, kind="min",
-        runner="fig14_pre_mlp", full=_full()),
+        metric=extractors.fig14_pre_mlp, full=_full()),
     FigureSpec(
         fig_id="fig14-cdf-mlp-more-useful",
         paper_ref="Fig. 14",
@@ -354,14 +362,14 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "(share of the gain, over kernels whose MLP rose 10% or "
               "more).",
         unit="share", paper_value=0.0, kind="min",
-        runner="fig14_useful_margin", full=_full()),
+        metric=extractors.fig14_useful_margin, full=_full()),
     FigureSpec(
         fig_id="fig14-pre-mlp-inflation",
         paper_ref="Fig. 14",
         claim="On at least one kernel PRE raises MLP above 1.3x for "
               "under 2% speedup: wrong-chain loads that do not help.",
         unit="kernels", paper_value=1.0, kind="min",
-        runner="fig14_pre_inflated", full=_full()),
+        metric=extractors.fig14_pre_inflated, full=_full()),
     FigureSpec(
         fig_id="fig15-cdf-traffic",
         paper_ref="Fig. 15",
@@ -369,14 +377,14 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "(it only reorders demand fetches).",
         unit="%", paper_value=0.0, kind="value",
         match_tol=2.0, tolerance=5.0,
-        runner="fig15_cdf_traffic", quick=_quick(), full=_full()),
+        metric=extractors.fig15_cdf_traffic, quick=_quick(), full=_full()),
     FigureSpec(
         fig_id="fig15-cdf-saves-vs-pre",
         paper_ref="Fig. 15",
         claim="PRE generates ~4% more DRAM traffic than CDF "
               "(speculative runahead fetches).",
         unit="%", paper_value=4.0, kind="min", tolerance=4.0,
-        runner="fig15_pre_vs_cdf", quick=_quick(), full=_full(),
+        metric=extractors.fig15_pre_vs_cdf, quick=_quick(), full=_full(),
         note="QUICK undershoots: at scale 0.3 PRE's runahead intervals "
              "are short, so its excess traffic is smaller."),
     FigureSpec(
@@ -384,13 +392,13 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         paper_ref="Fig. 15",
         claim="CDF adds at most 5% DRAM traffic on any kernel.",
         unit="%", paper_value=5.0, kind="max",
-        runner="fig15_cdf_worst_traffic", full=_full()),
+        metric=extractors.fig15_cdf_worst_traffic, full=_full()),
     FigureSpec(
         fig_id="fig15-pre-worst-traffic",
         paper_ref="Fig. 15",
         claim="PRE adds over 5% DRAM traffic on at least one kernel.",
         unit="%", paper_value=5.0, kind="min",
-        runner="fig15_pre_worst_traffic", full=_full()),
+        metric=extractors.fig15_pre_worst_traffic, full=_full()),
     FigureSpec(
         fig_id="fig16-cdf-energy",
         paper_ref="Fig. 16",
@@ -398,7 +406,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "stall cycles at near-identical traffic).",
         unit="%", paper_value=-3.5, kind="value",
         match_tol=1.5, tolerance=4.0,
-        runner="fig16_cdf_energy", quick=_quick(), full=_full()),
+        metric=extractors.fig16_cdf_energy, quick=_quick(), full=_full()),
     FigureSpec(
         fig_id="fig16-pre-energy",
         paper_ref="Fig. 16",
@@ -406,7 +414,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "plus extra traffic).",
         unit="%", paper_value=3.7, kind="value",
         match_tol=1.5, tolerance=6.0,
-        runner="fig16_pre_energy", quick=_quick(), full=_full(),
+        metric=extractors.fig16_pre_energy, quick=_quick(), full=_full(),
         note="QUICK undershoots (can even go slightly negative): PRE's "
              "energy overhead needs long stalls to accumulate."),
     FigureSpec(
@@ -415,7 +423,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         claim="CDF consumes ~7.2% less energy than PRE.",
         unit="%", paper_value=-7.2, kind="value",
         match_tol=2.0, tolerance=6.0,
-        runner="fig16_cdf_vs_pre", quick=_quick(), full=_full(),
+        metric=extractors.fig16_cdf_vs_pre, quick=_quick(), full=_full(),
         note="Derived from the two Fig. 16 geomeans (CDF/PRE energy "
              "ratio)."),
     FigureSpec(
@@ -424,7 +432,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         claim="CDF saves at least 1% energy on its best kernel: its "
               "biggest savings come with its biggest speedups.",
         unit="%", paper_value=-1.0, kind="max",
-        runner="fig16_cdf_best_energy", full=_full()),
+        metric=extractors.fig16_cdf_best_energy, full=_full()),
     FigureSpec(
         fig_id="fig17-area-scaling",
         paper_ref="Fig. 17",
@@ -432,7 +440,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "(512-entry) baseline — scaling the window is a worse "
               "deal than fetching critically.",
         unit="x", paper_value=1.0, kind="min", tolerance=0.08,
-        runner="fig17_scaling",
+        metric=extractors.fig17_scaling,
         quick=Profile(QUICK_NAMES, QUICK_SCALE, (352, 512)),
         full=Profile(FULL_SCALING_NAMES, FULL_SCALE, (352, 512)),
         note="QUICK sits barely above 1.0: short runs under-train the "
@@ -442,7 +450,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         paper_ref="Fig. 17",
         claim="A 512-entry baseline outperforms a 192-entry one.",
         unit="x", paper_value=1.0, kind="min",
-        runner="fig17_base_gain",
+        metric=extractors.fig17_base_gain,
         full=_full(FULL_SCALING_NAMES, (192, 512))),
     FigureSpec(
         fig_id="fig17-diminishing-returns",
@@ -450,7 +458,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         claim="A bigger baseline window has diminishing returns: its "
               "192->256 IPC step is at least 0.98x its 352->512 step.",
         unit="x", paper_value=0.98, kind="min",
-        runner="fig17_diminishing",
+        metric=extractors.fig17_diminishing,
         full=_full(FULL_SCALING_NAMES, FIG17_ROB_SIZES),
         note="Thin margin at FULL: 0.988 against the 0.98 bound."),
     FigureSpec(
@@ -459,7 +467,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         claim="CDF keeps within 0.5% of the equal-size baseline at "
               "every ROB size from 192 to 512 (worst ROB size).",
         unit="x", paper_value=0.995, kind="min",
-        runner="fig17_cdf_every_rob",
+        metric=extractors.fig17_cdf_every_rob,
         full=_full(FULL_SCALING_NAMES, FIG17_ROB_SIZES)),
     FigureSpec(
         fig_id="fig17-cdf-gain-352",
@@ -467,14 +475,16 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         claim="CDF outperforms the baseline at the default 352-entry "
               "ROB.",
         unit="x", paper_value=1.0, kind="min",
-        runner="fig17_cdf_gain", full=_full(FULL_SCALING_NAMES, (352,))),
+        metric=extractors.fig17_cdf_gain,
+        full=_full(FULL_SCALING_NAMES, (352,))),
     FigureSpec(
         fig_id="fig17-energy-vs-512-base",
         paper_ref="Fig. 17",
         claim="A 512-entry baseline uses at least 0.98x the energy of "
               "CDF on the 352-entry core.",
         unit="x", paper_value=0.98, kind="min",
-        runner="fig17_energy", full=_full(FULL_SCALING_NAMES, (352, 512))),
+        metric=extractors.fig17_energy,
+        full=_full(FULL_SCALING_NAMES, (352, 512))),
     FigureSpec(
         fig_id="ablation-branches-drop",
         paper_ref="Sec. 4.2",
@@ -482,7 +492,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "CDF speedup (paper: 6.1% -> 3.8%, a 2.3pp drop).",
         unit="pp", paper_value=2.3, kind="value",
         match_tol=1.0, tolerance=2.5,
-        runner="ablation_branches_drop", quick=_quick(), full=_full(),
+        metric=extractors.ablation_branches_drop, quick=_quick(), full=_full(),
         note="QUICK undershoots the drop: short runs under-train the "
              "branch criticality tables in both arms."),
     FigureSpec(
@@ -491,21 +501,22 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         claim="Without critical-branch marking CDF still improves "
               "geomean IPC (paper: +3.8%): loads alone help.",
         unit="%", paper_value=0.0, kind="min",
-        runner="ablation_branches_off", full=_full()),
+        metric=extractors.ablation_branches_off, full=_full()),
     FigureSpec(
         fig_id="ablation-branches-family-drop",
         paper_ref="Sec. 4.2",
         claim="The drop concentrates in the branch-sensitive family: "
               "at least 1pp there.",
         unit="pp", paper_value=1.0, kind="min",
-        runner="ablation_branches_drop", full=_full(BRANCH_SENSITIVE)),
+        metric=extractors.ablation_branches_drop,
+        full=_full(BRANCH_SENSITIVE)),
     FigureSpec(
         fig_id="ablation-partitioning-margin",
         paper_ref="Sec. 3.5",
         claim="Dynamic backend partitioning keeps within 1.5pp of a "
               "static 50/50 split in geomean speedup.",
         unit="pp", paper_value=-1.5, kind="min",
-        runner="partitioning_margin", full=_full(PARTITIONING_NAMES),
+        metric=extractors.partitioning_margin, full=_full(PARTITIONING_NAMES),
         note="Thin margin at FULL: -1.1pp against the -1.5pp bound."),
     FigureSpec(
         fig_id="ablation-partitioning-uplift",
@@ -513,7 +524,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         claim="With dynamic partitioning CDF gains over 2% geomean IPC "
               "on the partitioning subset.",
         unit="%", paper_value=2.0, kind="min",
-        runner="partitioning_uplift", full=_full(PARTITIONING_NAMES)),
+        metric=extractors.partitioning_uplift, full=_full(PARTITIONING_NAMES)),
     FigureSpec(
         fig_id="ablation-partitioning-milc-lbm",
         paper_ref="Sec. 3.5",
@@ -521,21 +532,22 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "split on milc and lbm, where a 50/50 split is wrong "
               "(worst of the two).",
         unit="pp", paper_value=-0.5, kind="min",
-        runner="partitioning_worst_kernel", full=_full(("milc", "lbm"))),
+        metric=extractors.partitioning_worst_kernel,
+        full=_full(("milc", "lbm"))),
     FigureSpec(
         fig_id="ablation-thresholds-margin",
         paper_ref="Sec. 3.2",
         claim="Adaptive strict/permissive CCT thresholds keep within "
               "0.5pp of strict-only thresholds in geomean speedup.",
         unit="pp", paper_value=-0.5, kind="min",
-        runner="thresholds_margin", full=_full(THRESHOLD_NAMES)),
+        metric=extractors.thresholds_margin, full=_full(THRESHOLD_NAMES)),
     FigureSpec(
         fig_id="ablation-thresholds-uplift",
         paper_ref="Sec. 3.2",
         claim="With adaptive thresholds CDF gains over 2% geomean IPC "
               "on the threshold subset.",
         unit="%", paper_value=2.0, kind="min",
-        runner="thresholds_uplift", full=_full(THRESHOLD_NAMES)),
+        metric=extractors.thresholds_uplift, full=_full(THRESHOLD_NAMES)),
     FigureSpec(
         fig_id="ablation-nc-uop-cache",
         paper_ref="Sec. 3.3",
@@ -543,7 +555,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "CDF speedup by less than 4pp either way: non-critical "
               "uops are not fetch-bound.",
         unit="pp", paper_value=0.0, kind="value", match_tol=4.0,
-        runner="nc_uop_cache", full=_full(NC_CACHE_NAMES)),
+        metric=extractors.nc_uop_cache, full=_full(NC_CACHE_NAMES)),
     FigureSpec(
         fig_id="ablation-disambiguation-base",
         paper_ref="Sec. 3.5",
@@ -551,14 +563,16 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "baseline up: worst conservative/oracle IPC at most "
               "1.01x.",
         unit="x", paper_value=1.01, kind="max",
-        runner="disambiguation_base", full=_full(DISAMBIGUATION_NAMES)),
+        metric=extractors.disambiguation_base,
+        full=_full(DISAMBIGUATION_NAMES)),
     FigureSpec(
         fig_id="ablation-disambiguation-cdf",
         paper_ref="Sec. 3.5",
         claim="Under conservative disambiguation CDF keeps at least "
               "0.97x of its baseline's IPC on every kernel.",
         unit="x", paper_value=0.97, kind="min",
-        runner="disambiguation_cdf", full=_full(DISAMBIGUATION_NAMES)),
+        metric=extractors.disambiguation_cdf,
+        full=_full(DISAMBIGUATION_NAMES)),
     FigureSpec(
         fig_id="ablation-disambiguation-retired",
         paper_ref="Sec. 3.5",
@@ -566,7 +580,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "oracle baseline's measured uops to within 6 (one retire "
               "group of warm-up snapshot granularity).",
         unit="uops", paper_value=6.0, kind="max",
-        runner="disambiguation_retired",
+        metric=extractors.disambiguation_retired,
         full=_full(DISAMBIGUATION_NAMES)),
     FigureSpec(
         fig_id="ext-static-hints-margin",
@@ -574,14 +588,14 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         claim="Profile-guided chain hints cost CDF at most 1pp of "
               "geomean speedup on finite runs.",
         unit="pp", paper_value=-1.0, kind="min",
-        runner="hints_margin", full=_full(HINT_NAMES)),
+        metric=extractors.hints_margin, full=_full(HINT_NAMES)),
     FigureSpec(
         fig_id="ext-static-hints-residency",
         paper_ref="Sec. 6",
         claim="Hinted CDF keeps at least 0.95x of hardware CDF's "
               "CDF-mode cycles on every kernel.",
         unit="x", paper_value=0.95, kind="min",
-        runner="hints_residency", full=_full(HINT_NAMES),
+        metric=extractors.hints_residency, full=_full(HINT_NAMES),
         note="Thin margin at FULL: 0.966 against the 0.95 bound."),
     FigureSpec(
         fig_id="ext-longlat-loads-only",
@@ -589,77 +603,78 @@ REGISTRY: Tuple[FigureSpec, ...] = (
         claim="On an FDIV-chain-bound kernel with no misses, CDF with "
               "load criticality only stays within 2% of the baseline.",
         unit="%", paper_value=0.0, kind="value", match_tol=2.0,
-        runner="longlat_loads_only", full=SYNTHETIC),
+        metric=extractors.longlat_loads_only, full=_full(LONGLAT_NAMES)),
     FigureSpec(
         fig_id="ext-longlat-uplift",
         paper_ref="Sec. 6",
         claim="Marking long-latency FDIV roots critical lets CDF gain "
               "over 20% on that kernel.",
         unit="%", paper_value=20.0, kind="min",
-        runner="longlat_uplift", full=SYNTHETIC),
+        metric=extractors.longlat_uplift, full=_full(LONGLAT_NAMES)),
     FigureSpec(
         fig_id="ext-memory-cdf-nominal",
         paper_ref="Sec. 2.4",
         claim="At nominal DDR4-2400 timing CDF improves geomean IPC on "
               "the memory-speed subset.",
         unit="%", paper_value=0.0, kind="min",
-        runner="memory_cdf_nominal", full=_full(MEMORY_SPEED_NAMES)),
+        metric=extractors.memory_cdf_nominal, full=_full(MEMORY_SPEED_NAMES)),
     FigureSpec(
         fig_id="ext-memory-pre-nominal",
         paper_ref="Sec. 2.4",
         claim="At nominal DDR4-2400 timing PRE improves geomean IPC on "
               "the memory-speed subset.",
         unit="%", paper_value=0.0, kind="min",
-        runner="memory_pre_nominal", full=_full(MEMORY_SPEED_NAMES)),
+        metric=extractors.memory_pre_nominal, full=_full(MEMORY_SPEED_NAMES)),
     FigureSpec(
         fig_id="ext-memory-pre-erodes",
         paper_ref="Sec. 2.4",
         claim="PRE's gain erodes with 4x faster memory: shorter stalls "
               "leave less time to run ahead.",
         unit="pp", paper_value=0.0, kind="min",
-        runner="memory_pre_erodes", full=_full(MEMORY_SPEED_NAMES)),
+        metric=extractors.memory_pre_erodes, full=_full(MEMORY_SPEED_NAMES)),
     FigureSpec(
         fig_id="ext-memory-pre-loses-more",
         paper_ref="Sec. 2.4",
         claim="Going to 4x faster memory, PRE loses at least as much "
               "gain as CDF, within 1pp.",
         unit="pp", paper_value=-1.0, kind="min",
-        runner="memory_pre_loses_more", full=_full(MEMORY_SPEED_NAMES)),
+        metric=extractors.memory_pre_loses_more,
+        full=_full(MEMORY_SPEED_NAMES)),
     FigureSpec(
         fig_id="ext-mshr-scaling",
         paper_ref="Sec. 2.1",
         claim="CDF gains at least as much with 16 and with 32 L1D MSHRs "
               "as with 4: the miss buffer caps window expansion.",
         unit="pp", paper_value=0.0, kind="min",
-        runner="mshr_scaling", full=_full(MSHR_NAMES)),
+        metric=extractors.mshr_scaling, full=_full(MSHR_NAMES)),
     FigureSpec(
         fig_id="ext-simpoint-pre-inflation",
         paper_ref="Sec. 4.2",
         claim="Evaluating only the memory phase (a single SimPoint) "
               "overstates PRE's gain over the whole program.",
         unit="pp", paper_value=0.0, kind="min",
-        runner="simpoint_pre_inflation", full=SYNTHETIC),
+        metric=extractors.simpoint_pre_inflation, full=_full(SIMPOINT_NAMES)),
     FigureSpec(
         fig_id="ext-simpoint-cdf-inflation",
         paper_ref="Sec. 4.2",
         claim="Evaluating only the memory phase overstates CDF's gain "
               "over the whole program.",
         unit="pp", paper_value=0.0, kind="min",
-        runner="simpoint_cdf_inflation", full=SYNTHETIC),
+        metric=extractors.simpoint_cdf_inflation, full=_full(SIMPOINT_NAMES)),
     FigureSpec(
         fig_id="ext-simpoint-compute-pre",
         paper_ref="Sec. 4.2",
         claim="PRE stays within 3% of the baseline on the compute "
               "phase.",
         unit="%", paper_value=0.0, kind="value", match_tol=3.0,
-        runner="simpoint_compute_pre", full=SYNTHETIC),
+        metric=extractors.simpoint_compute_pre, full=_full(SIMPOINT_NAMES)),
     FigureSpec(
         fig_id="ext-simpoint-compute-cdf",
         paper_ref="Sec. 4.2",
         claim="CDF stays within 3% of the baseline on the compute "
               "phase.",
         unit="%", paper_value=0.0, kind="value", match_tol=3.0,
-        runner="simpoint_compute_cdf", full=SYNTHETIC),
+        metric=extractors.simpoint_compute_cdf, full=_full(SIMPOINT_NAMES)),
     FigureSpec(
         fig_id="ext-simpoint-pre-between",
         paper_ref="Sec. 4.2",
@@ -667,7 +682,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "(less 2pp) and the memory phase's (headroom to the "
               "nearer bound).",
         unit="pp", paper_value=0.0, kind="min",
-        runner="simpoint_pre_between", full=SYNTHETIC),
+        metric=extractors.simpoint_pre_between, full=_full(SIMPOINT_NAMES)),
     FigureSpec(
         fig_id="table1-area",
         paper_ref="Table 1",
@@ -675,7 +690,7 @@ REGISTRY: Tuple[FigureSpec, ...] = (
               "FIFOs) add 3.2% area over the baseline core.",
         unit="%", paper_value=3.2, kind="value",
         match_tol=0.3, tolerance=1.0,
-        runner="table1_area", quick=ANALYTIC, full=ANALYTIC,
+        metric=extractors.table1_area, quick=ANALYTIC, full=ANALYTIC,
         note="Analytic (energy/area model); runs no simulations."),
     FigureSpec(
         fig_id="cgooo-energy",
@@ -783,7 +798,7 @@ def run_claim(spec: FigureSpec, mode: str,
         return ClaimResult(spec.fig_id, mode, None, PLANNED, 0.0, ())
     profile = spec.profile(mode)
     try:
-        value = RUNNERS[spec.runner](profile, seed)
+        value = spec.metric(profile, seed)
     except MetricDomainError as error:
         raise ClaimValueError(
             f"claim {spec.fig_id} [{mode}]: {error}") from error
@@ -816,10 +831,8 @@ def run_figures(mode: str = "quick",
             if profile is ANALYTIC:
                 what = f"{spec.fig_id} (analytic)"
             else:
-                kernels = (f"{len(profile.names)} kernels"
-                           if profile.names else "synthetic programs")
                 what = (f"{spec.fig_id} [{mode}] scale={profile.scale} "
-                        f"({kernels})")
+                        f"({len(profile.names)} kernels)")
             progress(what)
         results.append(run_claim(spec, mode, seed=seed))
     return results

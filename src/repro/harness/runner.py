@@ -4,7 +4,8 @@ This is the programmatic entry point everything else (examples, the
 claim studies) uses. Traces are cached per (name, scale, seed)
 so the three modes of a comparison share one functional execution.
 
-``run_benchmark`` is the single-simulation primitive; multi-point
+``run_benchmark`` is the single-simulation primitive, and
+``run_hinted_cdf`` its variant with chain hints preloaded; multi-point
 functions (``run_comparison`` here, ``sweep``, the claim studies) go
 through :mod:`repro.harness.engine`, which adds process-pool fan-out and
 a persistent on-disk result cache. See docs/harness.md.
@@ -17,7 +18,7 @@ import warnings
 from collections import OrderedDict
 from typing import Dict, Iterable, Optional, Tuple
 
-from ..cdf import CDFPipeline
+from ..cdf import CDFPipeline, preload_hints, profile_chains
 from ..config import SimConfig
 from ..core import BaselinePipeline
 from ..energy import EnergyModel
@@ -27,6 +28,10 @@ from ..workloads import DEFAULT_SEED, Workload, get_workload
 from .tracestore import get_trace_store
 
 MODES = ("baseline", "cdf", "pre")
+
+#: Trace prefix, in uops, that :func:`run_hinted_cdf` profiles for its
+#: chain hints.
+HINT_PROFILE_UOPS = 9000
 
 #: Cap on the in-process workload memo (``$REPRO_WORKLOAD_CACHE``).
 #: Long sweeps visit many (name, scale, seed) points; without a bound a
@@ -159,6 +164,28 @@ def run_benchmark(name: str, mode: str = "baseline", scale: float = 1.0,
     level >= 1 the returned result carries the telemetry payload on
     ``result.obs`` (see docs/observability.md).
     """
+    _, pipeline = _prepare_run(name, mode, scale, seed, config, obs_level)
+    return _finish_run(pipeline)
+
+
+def run_hinted_cdf(name: str, scale: float = 1.0,
+                   seed: int = DEFAULT_SEED,
+                   config: Optional[SimConfig] = None) -> SimResult:
+    """:func:`run_benchmark` in CDF mode, with profile-guided chain
+    hints (:mod:`repro.cdf.static_hints`) preloaded into the critical
+    uop cache before the run: the paper's Sec. 6 future work.  The
+    hints come from a baseline profile of the trace's first
+    :data:`HINT_PROFILE_UOPS` uops."""
+    workload, pipeline = _prepare_run(name, "cdf", scale, seed, config)
+    preload_hints(pipeline, profile_chains(
+        workload.program, workload.trace(), profile_uops=HINT_PROFILE_UOPS))
+    return _finish_run(pipeline)
+
+
+def _prepare_run(name: str, mode: str, scale: float, seed: int,
+                 config: Optional[SimConfig],
+                 obs_level: Optional[int] = None):
+    """The workload and its pipeline, configured but not yet run."""
     workload = load_workload(name, scale, seed)
     trace = workload.trace()
     if config is None:
@@ -174,11 +201,15 @@ def run_benchmark(name: str, mode: str = "baseline", scale: float = 1.0,
     config.stats_warmup_uops = workload.warmup_uops()
     if obs_level is not None:
         config.obs_level = obs_level
-    pipeline = make_pipeline(mode, trace, config, workload)
+    return workload, make_pipeline(mode, trace, config, workload)
+
+
+def _finish_run(pipeline) -> SimResult:
+    """Run *pipeline*; attach its telemetry and energy to the result."""
     result = pipeline.run()
     if pipeline.observer is not None:
         result.obs = pipeline.observer.payload()
-    EnergyModel(config).compute(result)
+    EnergyModel(pipeline.config).compute(result)
     return result
 
 

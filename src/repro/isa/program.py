@@ -106,18 +106,6 @@ class Program:
         """
         return self._bb_start
 
-    def basic_block_end(self, start: int) -> int:
-        """Return the last pc (inclusive) of the basic block starting at *start*."""
-        pc = start
-        n = len(self.instructions)
-        while pc < n:
-            if self.instructions[pc].is_branch:
-                return pc
-            if pc + 1 < n and (pc + 1) in self._leaders:
-                return pc
-            pc += 1
-        return n - 1
-
     def disassemble(self) -> str:
         """Return a human-readable listing of the whole program."""
         pc_labels: Dict[int, List[str]] = {}

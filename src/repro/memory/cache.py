@@ -178,10 +178,6 @@ class Cache:
         line.prefetched = False
         return was_dirty
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def reset_stats(self) -> None:
         self.accesses = self.hits = self.misses = 0
         self.evictions = self.dirty_evictions = 0

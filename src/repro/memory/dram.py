@@ -129,9 +129,6 @@ class DRAMModel:
         """Total 64B transfers in either direction."""
         return self.total_reads + self.total_writes
 
-    def traffic_bytes(self) -> int:
-        return self.total_traffic * self.line_bytes
-
     def reset_stats(self) -> None:
         self.reads = {s: 0 for s in SOURCES}
         self.writes = {s: 0 for s in SOURCES}

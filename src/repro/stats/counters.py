@@ -50,9 +50,3 @@ class Counters(Dict[str, int]):
             if diff:
                 result[key] = diff
         return result
-
-    def merged_with(self, other: "Counters") -> "Counters":
-        result = Counters(self)
-        for key, value in other.items():
-            result[key] = result.get(key, 0) + value
-        return result

@@ -17,6 +17,7 @@ from .suite import (
     BRANCH_SENSITIVE,
     NEUTRAL,
     PRE_FAVOURABLE,
+    STUDY_PROGRAMS,
     SUITE,
     get_workload,
     suite_names,
@@ -25,6 +26,7 @@ from .suite import (
 __all__ = [
     "Workload",
     "SUITE",
+    "STUDY_PROGRAMS",
     "get_workload",
     "suite_names",
     "BRANCH_SENSITIVE",

@@ -105,14 +105,6 @@ def test_uop_cache_remove():
     assert not uc.remove(0x10)
 
 
-def test_uop_cache_hit_rate():
-    uc = CriticalUopCache(entries=16, ways=4)
-    uc.lookup(0x10, 0)
-    uc.fill(0x10, mask=1, ends_in_branch=False, valid_from=0)
-    uc.lookup(0x10, 0)
-    assert uc.hit_rate == pytest.approx(0.5)
-
-
 def test_uop_cache_eviction():
     uc = CriticalUopCache(entries=2, ways=2)   # one set
     uc.fill(0, mask=1, ends_in_branch=False, valid_from=0)

@@ -73,10 +73,3 @@ def test_jmp_never_mispredicts_direction():
     outcome = unit.predict_and_train(jmp)
     assert not outcome.mispredicted
     assert outcome.btb_miss        # first sighting
-
-
-def test_mpki():
-    unit = BranchUnit()
-    assert unit.mpki(0) == 0.0
-    unit.mispredicts = 5
-    assert unit.mpki(1000) == 5.0

@@ -223,6 +223,18 @@ def test_sweep_rejects_bad_input_before_any_job(capsys, monkeypatch,
     assert named in capsys.readouterr().err
 
 
+def test_verify_bench_counts_every_trace_uop(capsys):
+    """A passing oracle run checked the whole trace, warm-up included,
+    not only the measured uops past it."""
+    from repro.harness import load_workload
+    trace_uops = len(load_workload("bzip", 0.1).trace())
+    code, out = run_cli(capsys, "verify", "--bench", "bzip", "--scale",
+                        "0.1", "--modes", "cdf")
+    assert code == 0
+    assert f"bzip [cdf]: ok — {trace_uops} retired uops cross-checked" \
+        in out
+
+
 def test_sweep_default_scale_engages_cdf():
     """The default scale must train CDF enough to enter CDF mode; at
     0.15 it never did, and every sweep point read 1.000x."""

@@ -1,7 +1,7 @@
 """Tests for the paper-parity figure registry and pipeline.
 
 Covers registry integrity (every spec resolves to real workloads and a
-real runner), the verdict rules, QUICK determinism across worker
+metric function), the verdict rules, QUICK determinism across worker
 counts, the BENCH_figures.json history / pinned-baseline round trips,
 the generated claim map in docs/PAPER_VS_CODE.md, and the CLI surface.
 """
@@ -22,7 +22,6 @@ from repro.harness.figures import (
     MATCH,
     PLANNED,
     REGISTRY,
-    RUNNERS,
     WITHIN,
     ClaimResult,
     ClaimValueError,
@@ -46,8 +45,9 @@ from repro.harness.figures import (
     verdict,
     write_baseline,
 )
+from repro.harness.extractors import fig17_scaling
 from repro.harness.runner import run_comparison
-from repro.workloads import DEFAULT_SEED, suite_names
+from repro.workloads import DEFAULT_SEED, STUDY_PROGRAMS, suite_names
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -59,20 +59,22 @@ def test_fig_ids_unique():
 
 
 def test_every_implemented_spec_resolves():
-    """Each implemented claim names a real runner and a FULL profile
-    (plus, unless it is FULL-only, a QUICK one) whose kernels exist in
-    the suite — nothing can be silently unrunnable."""
-    suite = set(suite_names())
+    """Each implemented claim holds a metric function and a FULL profile
+    (plus, unless it is FULL-only, a QUICK one) whose workloads exist,
+    and only the analytic claim names none — nothing can be silently
+    unrunnable, and every simulation a claim needs is named."""
+    known = set(suite_names()) | set(STUDY_PROGRAMS)
     for spec in implemented_specs():
-        assert spec.runner in RUNNERS, spec.fig_id
+        assert callable(spec.metric), spec.fig_id
         assert spec.full is not None, spec.fig_id
         modes = ("full",) if spec.full_only else ("quick", "full")
         for mode in modes:
             profile = spec.profile(mode)
-            assert set(profile.names) <= suite, (spec.fig_id, mode)
+            assert set(profile.names) <= known, (spec.fig_id, mode)
             if profile is not ANALYTIC:
+                assert profile.names, (spec.fig_id, mode)
                 assert 0.0 < profile.scale <= 1.0, (spec.fig_id, mode)
-            if spec.runner == "fig17_scaling":
+            if spec.metric is fig17_scaling:
                 assert {352, 512} <= set(profile.rob_sizes)
 
 
@@ -116,7 +118,7 @@ def test_format_value_units():
 def test_verdict_value_kind_bands():
     spec = FigureSpec(fig_id="t", paper_ref="-", claim="-", unit="%",
                       paper_value=6.0, kind="value",
-                      match_tol=2.0, tolerance=6.0, runner="x")
+                      match_tol=2.0, tolerance=6.0)
     assert verdict(spec, 6.0) == MATCH
     assert verdict(spec, 7.9) == MATCH
     assert verdict(spec, 4.1) == MATCH
@@ -128,8 +130,7 @@ def test_verdict_value_kind_bands():
 
 def test_verdict_min_kind_directional():
     spec = FigureSpec(fig_id="t", paper_ref="-", claim="-", unit="x",
-                      paper_value=1.0, kind="min", tolerance=0.05,
-                      runner="x")
+                      paper_value=1.0, kind="min", tolerance=0.05)
     assert verdict(spec, 1.2) == MATCH
     assert verdict(spec, 1.0) == MATCH
     assert verdict(spec, 0.97) == WITHIN
@@ -138,8 +139,7 @@ def test_verdict_min_kind_directional():
 
 def test_verdict_max_kind_directional():
     spec = FigureSpec(fig_id="t", paper_ref="-", claim="-", unit="%",
-                      paper_value=2.0, kind="max", tolerance=1.0,
-                      runner="x")
+                      paper_value=2.0, kind="max", tolerance=1.0)
     assert verdict(spec, 1.5) == MATCH
     assert verdict(spec, 2.8) == WITHIN
     assert verdict(spec, 3.5) == DIVERGED
@@ -160,10 +160,11 @@ def test_analytic_claim_runs_without_simulation():
 
 
 @pytest.mark.parametrize("bad", [None, float("nan")])
-def test_claim_without_a_finite_value_raises(monkeypatch, bad):
-    monkeypatch.setitem(RUNNERS, "table1_area", lambda profile, seed: bad)
+def test_claim_without_a_finite_value_raises(bad):
+    spec = dataclasses.replace(get_spec("table1-area"),
+                               metric=lambda profile, seed: bad)
     with pytest.raises(ClaimValueError, match=r"table1-area \[quick\]"):
-        run_claim(get_spec("table1-area"), "quick")
+        run_claim(spec, "quick")
 
 
 @pytest.mark.parametrize("fig_id", ["fig13-cdf-uplift",

@@ -49,22 +49,6 @@ def test_basic_block_start_mapping():
     assert p.basic_block_start(5) == 4
 
 
-def test_basic_block_end():
-    p = _simple_loop()
-    assert p.basic_block_end(0) == 0     # block [0] ends before leader 1
-    assert p.basic_block_end(1) == 3     # block [1..3] ends at the branch
-    assert p.basic_block_end(4) == 5
-
-
-def test_block_end_at_program_end_without_branch():
-    b = ProgramBuilder()
-    b.movi(0, 1)
-    b.movi(1, 2)
-    b.halt()
-    p = b.build()
-    assert p.basic_block_end(0) == 2
-
-
 def test_len_and_indexing():
     p = _simple_loop()
     assert len(p) == 6

@@ -104,14 +104,6 @@ def test_prefetched_hit_feedback_flag():
     assert c.useful_prefetches == 1
 
 
-def test_miss_rate():
-    c = small_cache()
-    c.lookup(1)
-    c.fill(1)
-    c.lookup(1)
-    assert c.miss_rate == pytest.approx(0.5)
-
-
 def test_reset_stats():
     c = small_cache()
     c.lookup(1)

@@ -121,3 +121,16 @@ def test_run_report_needs_only_level_1():
     assert "## Fetch-ahead distance" in reports[0]
     assert "speedup over baseline" in reports[0]
     assert reports[0] == reports[1]
+
+
+def test_every_retired_uop_has_a_fetch_event_in_cdf_mode():
+    """CDF-mode regular fetch logs its ``F`` events like the baseline's
+    fetch: in a run that enters CDF mode, every retired uop shows a
+    fetch in the timeline."""
+    result = run_benchmark("astar", "cdf", scale=0.3, obs_level=2)
+    assert result.counters["cdf_mode_cycles"] > 0
+    assert result.obs["dropped_uop_events"] == 0
+    events = result.obs["uop_events"]
+    fetched = {seq for _, kind, seq in events if kind == "F"}
+    retired = {seq for _, kind, seq in events if kind == "R"}
+    assert retired and retired <= fetched

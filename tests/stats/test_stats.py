@@ -49,14 +49,6 @@ def test_dynamic_counter_families():
     assert c["dispatch_stall_lq_cycles"] == 3
 
 
-def test_counters_merge():
-    a = Counters({"x": 1})
-    b = Counters({"x": 2, "y": 3})
-    merged = a.merged_with(b)
-    assert merged["x"] == 3 and merged["y"] == 3
-    assert a["x"] == 1   # originals untouched
-
-
 # ---------------------------------------------------------------- MLPTracker
 def test_mlp_single_interval_is_one():
     t = MLPTracker()

@@ -81,7 +81,6 @@ def test_dram_core_cycles_rounds_up():
     dram = DRAMConfig()
     assert dram.core_cycles(16, 3.2) == 43     # 16 * 2.667 = 42.67 -> 43
     assert dram.core_cycles(0, 3.2) == 0
-    assert dram.total_banks == 2 * 1 * 4 * 4
 
 
 def test_cdf_defaults_match_paper_text():
